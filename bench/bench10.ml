@@ -22,7 +22,7 @@
    pool must not tax the tail it exists to protect.  Cross-artifact
    wall-clock is only meaningful on comparable hardware, so the bar
    binds only on full artifacts generated with >= 4 cores (the "cores"
-   field records the hardware, mirroring bench9).
+   field records the hardware).
 
    Schema (validated by bench/smoke.exe --validate-json):
      { "schema": "gncg-bench-10",

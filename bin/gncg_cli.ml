@@ -208,29 +208,14 @@ let evaluator_arg =
        & info [ "evaluator" ]
            ~doc:"best-move evaluator: reference | fast | stateless | incremental")
 
-(* The dynamics execution engine (see Gncg.Dynamics.Engine): outcomes are
-   engine-independent, so this flag only changes how the work runs. *)
-let engine_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Gncg.Dynamics.Engine.of_string s) in
-  Arg.conv ~docv:"ENGINE" (parse, Gncg.Dynamics.Engine.pp)
-
-let engine_arg =
-  Arg.(value
-       & opt engine_conv Gncg.Dynamics.Engine.Sequential
-       & info [ "engine" ]
-           ~doc:
-             "dynamics engine: sequential | speculative[:K][:batch=B] (K domains, \
-              batch B speculated activations)")
-
-let sweep model n alpha seeds format evaluator engine common =
+let sweep model n alpha seeds format evaluator common =
   let render = require_renderer format in
   let (_ : Gncg_util.Exec.t) =
     Common.setup ~verb:"sweep" ~accepts:Common.all common
   in
   let runs =
     List.init seeds (fun seed ->
-        Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~evaluator ~engine
-          ~seed:(seed + 1))
+        Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~evaluator ~seed:(seed + 1))
   in
   render runs
 
@@ -239,7 +224,7 @@ let format_arg =
 
 let sweep_one_shot_term =
   Term.(const sweep $ model_arg $ n_arg $ alpha_arg $ seeds_arg $ format_arg
-        $ evaluator_arg $ engine_arg $ Common.term)
+        $ evaluator_arg $ Common.term)
 
 (* Journal-backed batch sweeps (the runs subsystem). *)
 

@@ -1,17 +1,10 @@
 (** Response dynamics.
 
     Agents move one at a time in an activation order fixed by the
-    scheduler.  The paper shows these dynamics need not converge (no
-    finite improvement property — Cor. 1, Thms. 14, 17): the engine
-    therefore detects both convergence and revisited profiles (cycles).
-
-    The activation order is sequential semantics; {e executing} it need
-    not be: the [Speculative] engine evaluates upcoming activations
-    concurrently across OCaml 5 domains and commits them in slot order,
-    aborting any speculation invalidated by an earlier commit — the
-    outcome is byte-identical to [Sequential] under the same scheduler
-    (see {!Engine} and docs/ALGORITHMS.md, "Speculative commit
-    protocol"). *)
+    scheduler, each move made on the profile left by the one before.  The
+    paper shows these dynamics need not converge (no finite improvement
+    property — Cor. 1, Thms. 14, 17): the loop therefore detects both
+    convergence and revisited profiles (cycles). *)
 
 type rule =
   | Best_response  (** exact best response (branch-and-bound) *)
@@ -29,24 +22,6 @@ type scheduler =
 
 type step = { mover : int; before_cost : float; after_cost : float }
 
-(** Instrumentation filled by {!run} when passed in via {!Config.make}:
-    [evaluations] counts single-agent evaluator calls, [moves] accepted
-    moves, and [skips] agents whose idle verdict was preserved across an
-    accepted move by the dirty-row analysis (incremental evaluator only)
-    instead of being re-evaluated.
-
-    Subsumed by the observability layer: {!run} feeds the same
-    accounting into the [dynamics.*] counters of [Gncg_obs.Metric]
-    (enabled via [--profile] / [Gncg_obs.Obs.set_profiling]), which
-    also survive across runs and merge across domains.  The record stays
-    for callers that want per-run numbers without global state; build it
-    literally ([{ evaluations = 0; moves = 0; skips = 0 }]). *)
-type metrics = {
-  mutable evaluations : int;
-  mutable moves : int;
-  mutable skips : int;
-}
-
 type outcome =
   | Converged of { profile : Strategy.t; rounds : int; steps : step list }
       (** No agent can improve (w.r.t. the rule): a NE / GE / AE. *)
@@ -60,42 +35,6 @@ type outcome =
           equal. *)
   | Out_of_steps of { profile : Strategy.t; steps : step list }
 
-(** How the activation loop executes.  Semantics are engine-independent:
-    for any config, both engines produce byte-identical outcomes
-    (property-tested in test_speculative). *)
-module Engine : sig
-  type t =
-    | Sequential  (** one activation at a time, in schedule order *)
-    | Speculative of { exec : Gncg_util.Exec.t; batch : int }
-        (** Evaluate up to [batch] upcoming activations concurrently
-            across the domains of [exec], then commit them in slot
-            order; a speculation invalidated by an earlier commit of the
-            batch (per the four-condition dirty-row rule) is aborted and
-            re-evaluated inline.  [batch <= 0] means auto (4 × domain
-            count).  Instrumented on the [dynamics.speculative_*]
-            counters.  [Random_improving] degrades to [Sequential] (its
-            rng draws happen inside the evaluation, so concurrent
-            speculation would reorder the stream). *)
-
-  val sequential : t
-
-  val speculative : ?exec:Gncg_util.Exec.t -> ?batch:int -> unit -> t
-  (** Defaults: [Exec.default] (all recommended domains), auto batch. *)
-
-  val resolve_batch : exec:Gncg_util.Exec.t -> int -> int
-  (** The effective batch size for a [batch] argument ([<= 0] → auto). *)
-
-  val to_string : t -> string
-
-  val of_string : string -> (t, string) result
-  (** ["sequential"] (or ["seq"]), ["speculative"],
-      ["speculative:K"] (K domains), ["speculative:seq"] (single-domain
-      execution of the speculative protocol — deterministic batching for
-      tests), each optionally followed by [":batch=B"]. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
 (** The engine configuration: what used to be a sprawl of optional
     arguments on [run].  Build one with {!Config.make}, override fields
     with [{ cfg with ... }]. *)
@@ -105,20 +44,10 @@ module Config : sig
     scheduler : scheduler;
     max_steps : int;
     evaluator : Evaluator.t;
-    engine : Engine.t;
-    metrics : metrics option;
   }
 
-  val make :
-    ?max_steps:int ->
-    ?evaluator:Evaluator.t ->
-    ?engine:Engine.t ->
-    ?metrics:metrics ->
-    rule ->
-    scheduler ->
-    t
-  (** Defaults: [max_steps] 10_000, [evaluator] [`Reference], [engine]
-      [Sequential], no metrics record. *)
+  val make : ?max_steps:int -> ?evaluator:Evaluator.t -> rule -> scheduler -> t
+  (** Defaults: [max_steps] 10_000, [evaluator] [`Reference]. *)
 end
 
 val run : Config.t -> Host.t -> Strategy.t -> outcome
@@ -139,13 +68,14 @@ val run : Config.t -> Host.t -> Strategy.t -> outcome
       unaffected (row-local verdict, own row unchanged, no incident
       strategy pair modified, no changed row among its addable targets) —
       provably byte-identical to re-evaluating everyone, and the reason a
-      step no longer costs a full rescan.  Under the [Speculative] engine
-      each domain owns a replica of the state, kept in sync by replaying
-      committed moves.
+      step no longer costs a full rescan.
 
     All evaluators are semantically equivalent (property-tested);
-    tie-breaking may differ within float tolerance.  Engines are exactly
-    equivalent: same [outcome], same [steps], byte-identical profiles. *)
+    tie-breaking may differ within float tolerance.  Evaluations, accepted
+    moves and preserved idle verdicts are counted on the
+    [dynamics.evaluations], [dynamics.moves] and [dynamics.skips]
+    counters of [Gncg_obs.Metric] (enabled via [--profile] /
+    [Gncg_obs.Obs.set_profiling]). *)
 
 val deviation :
   ?evaluator:Evaluator.t ->

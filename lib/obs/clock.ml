@@ -1,4 +1,8 @@
-let default () = Unix.gettimeofday () *. 1e9
+external monotonic_ns : unit -> (float[@unboxed])
+  = "gncg_clock_monotonic_ns_byte" "gncg_clock_monotonic_ns"
+[@@noalloc]
+
+let default () = monotonic_ns ()
 
 let current = Atomic.make default
 

@@ -1,11 +1,11 @@
-(** Nanosecond clock for span timings.
+(** Nanosecond clock for span timings and time-based decisions.
 
-    The default reads the system wall clock once per span boundary; on
-    the engine's time scales (microseconds and up) it is monotonic for
-    all practical purposes, and the subsystem deliberately takes no
-    dependency that would provide a raw monotonic source.  Tests inject
-    a deterministic clock through {!set} to make span durations
-    reproducible. *)
+    The default reads [clock_gettime(CLOCK_MONOTONIC)]: it never steps
+    backwards when the wall clock is adjusted (NTP, a manual [date]), so
+    durations, budgets, heartbeat deadlines and liveness checks stay
+    sound.  Its origin is arbitrary but shared by every process on the
+    machine, so only differences are meaningful.  Tests inject a
+    deterministic clock through {!set} to make durations reproducible. *)
 
 val now_ns : unit -> float
 (** Current time in nanoseconds.  Only differences are meaningful. *)

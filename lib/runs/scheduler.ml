@@ -74,12 +74,16 @@ let observe_report report =
           ];
       }
 
+(* Seconds on the monotonic clock: a wall-clock step must not turn a
+   healthy job into a [Timeout] or give it a negative elapsed time. *)
+let now_s () = Gncg_obs.Clock.now_ns () /. 1e9
+
 let attempt ~budget ~retries ~diverged exec job =
   let rec go attempt_no =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     match exec job with
     | result ->
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let elapsed = now_s () -. t0 in
       let outcome =
         if elapsed > budget then Timeout
         else if diverged result then Diverged result
@@ -90,12 +94,12 @@ let attempt ~budget ~retries ~diverged exec job =
       (* The executor enforced the budget itself (a supervisor that
          SIGKILLed a worker process on overrun): record [Timeout]
          without retrying, exactly as the post-hoc path would. *)
-      { outcome = Timeout; attempts = attempt_no; elapsed = Unix.gettimeofday () -. t0 }
+      { outcome = Timeout; attempts = attempt_no; elapsed = now_s () -. t0 }
     | exception Crash_report c ->
       (* The executor already classified the crash (e.g. the exception
          was raised in a worker process and shipped back with its own
          frames): keep that record instead of the supervisor-side one. *)
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let elapsed = now_s () -. t0 in
       if attempt_no <= retries then go (attempt_no + 1)
       else { outcome = Crashed c; attempts = attempt_no; elapsed }
     | exception e ->
@@ -103,7 +107,7 @@ let attempt ~budget ~retries ~diverged exec job =
          empty unless [Printexc.record_backtrace] is on (the CLI enables
          it, and CI exports OCAMLRUNPARAM=b). *)
       let backtrace = Printexc.get_backtrace () in
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let elapsed = now_s () -. t0 in
       if attempt_no <= retries then go (attempt_no + 1)
       else
         {

@@ -58,7 +58,8 @@ val outcome_map : ('a -> 'b) -> 'a outcome -> 'b outcome
 
 type 'r report = { outcome : 'r outcome; attempts : int; elapsed : float }
 (** [attempts] counts executions (1 + retries used); [elapsed] is the
-    wall-clock of the last attempt in seconds. *)
+    real time of the last attempt in seconds, read from the monotonic
+    [Gncg_obs.Clock] (so it is never negative). *)
 
 val run :
   ?domains:int ->

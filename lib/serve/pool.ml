@@ -92,7 +92,9 @@ type t = {
   mutable threads : Thread.t list;
 }
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock: heartbeat liveness and budget kills
+   must not fire because the wall clock was stepped. *)
+let now () = Gncg_obs.Clock.now_ns () /. 1e9
 
 let status_string = function
   | Unix.WEXITED c -> Printf.sprintf "exited %d" c

@@ -182,13 +182,30 @@ let test_tracker_partial_refresh () =
     (Gncg.Equilibrium.Tracker.unhappy tr);
   Alcotest.(check bool) "now an AE" true (Gncg.Equilibrium.Tracker.is_equilibrium tr)
 
+(* [f ()] with the metric layer switched on, and the deltas of the
+   [dynamics.skips], [dynamics.moves] and [dynamics.evaluations]
+   counters over it. *)
+let with_dynamics_counters f =
+  let module Metric = Gncg_obs.Metric in
+  let delta name =
+    let c = Metric.Counter.make name in
+    let v0 = Metric.Counter.value c in
+    fun () -> Metric.Counter.value c - v0
+  in
+  let was_enabled = Metric.enabled () in
+  Metric.set_enabled true;
+  let skips = delta "dynamics.skips" and moves = delta "dynamics.moves" in
+  let evaluations = delta "dynamics.evaluations" in
+  let result = Fun.protect ~finally:(fun () -> Metric.set_enabled was_enabled) f in
+  (result, skips (), moves (), evaluations ())
+
 let test_dynamics_skips_clean_agents () =
   let host, s = star_instance () in
-  let metrics = { Gncg.Dynamics.evaluations = 0; moves = 0; skips = 0 } in
-  let outcome =
-    Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~evaluator:`Incremental ~metrics Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
-      host s
+  let outcome, skips, moves, evaluations =
+    with_dynamics_counters (fun () ->
+        Gncg.Dynamics.run
+          (Gncg.Dynamics.Config.make ~evaluator:`Incremental Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
+          host s)
   in
   let reference =
     Gncg.Dynamics.run
@@ -200,12 +217,12 @@ let test_dynamics_skips_clean_agents () =
     Alcotest.(check bool) "same limit as reference" true (Strategy.equal profile ref_p);
     (* The center was idle before the accepted move and provably clean
        after it: preserved, not re-evaluated. *)
-    Alcotest.(check int) "one agent skipped" 1 metrics.Gncg.Dynamics.skips;
-    Alcotest.(check int) "one move" 1 metrics.Gncg.Dynamics.moves;
+    Alcotest.(check int) "one agent skipped" 1 skips;
+    Alcotest.(check int) "one move" 1 moves;
     (* n + 1 evaluations total (everyone once, the mover re-checked)
        despite the mid-pass move — a full-rescan engine would pay for
        the pre-move evaluations again. *)
-    Alcotest.(check int) "n+1 evaluations" 7 metrics.Gncg.Dynamics.evaluations
+    Alcotest.(check int) "n+1 evaluations" 7 evaluations
   | _ -> Alcotest.fail "star dynamics did not converge"
 
 (* --- tracker refresh = full rescan on random games --- *)
@@ -241,14 +258,15 @@ let prop_tracker_refresh_byte_identical seed =
    run converge to a non-AE). *)
 let prop_incremental_add_only_reaches_ae seed =
   let _, host, s = random_game (seed + 306) ~n:8 in
-  let metrics = { Gncg.Dynamics.evaluations = 0; moves = 0; skips = 0 } in
-  match
-    Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator:`Incremental ~metrics Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
-      host s
-  with
+  let outcome, _, _, evaluations =
+    with_dynamics_counters (fun () ->
+        Gncg.Dynamics.run
+          (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator:`Incremental Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
+          host s)
+  in
+  match outcome with
   | Gncg.Dynamics.Converged { profile; _ } ->
-    metrics.Gncg.Dynamics.evaluations > 0 && Gncg.Equilibrium.is_ae host profile
+    evaluations > 0 && Gncg.Equilibrium.is_ae host profile
   | _ -> false
 
 let suites =

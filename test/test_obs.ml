@@ -7,6 +7,7 @@ module Obs = Gncg_obs.Obs
 module Metric = Gncg_obs.Metric
 module Sink = Gncg_obs.Sink
 module Span = Gncg_obs.Span
+module Clock = Gncg_obs.Clock
 
 (* Every test must leave the process-wide observability state as it
    found it (off): the rest of the suite runs with instrumentation
@@ -287,6 +288,20 @@ let test_four_layer_coverage () =
     (fun name -> Alcotest.(check bool) (name ^ " span emitted") true (span_named name))
     [ "dynamics.step"; "dynamics.run"; "equilibrium.scan"; "runs.job" ]
 
+(* The default clock is monotonic: consecutive reads never decrease, and
+   it advances across a sleep. *)
+let test_clock_monotonic () =
+  Clock.set None;
+  let t0 = Clock.now_ns () in
+  let prev = ref t0 in
+  for _ = 1 to 100_000 do
+    let t = Clock.now_ns () in
+    if t < !prev then Alcotest.failf "clock went back: %.0f -> %.0f" !prev t;
+    prev := t
+  done;
+  Unix.sleepf 0.01;
+  Alcotest.(check bool) "advances across a 10 ms sleep" true (Clock.now_ns () -. t0 >= 5e6)
+
 let suites =
   [
     ( "obs",
@@ -302,6 +317,7 @@ let suites =
         Alcotest.test_case "trace file roundtrip" `Quick
           (shielded test_trace_file_roundtrip);
         Alcotest.test_case "four-layer coverage" `Quick (shielded test_four_layer_coverage);
+        Alcotest.test_case "default clock is monotonic" `Quick test_clock_monotonic;
         QCheck_alcotest.to_alcotest prop_trace_transparent;
       ] );
   ]

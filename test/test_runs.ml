@@ -278,6 +278,30 @@ let test_scheduler_budget_classifies_timeout () =
       | _, o -> Alcotest.failf "job %d: unexpected %s" i (outcome_to_string o))
     results
 
+(* The budget is measured on Gncg_obs.Clock: a clock that moves forward
+   by budget + 1 s while a job runs makes it a Timeout, whatever the
+   wall clock says. *)
+let test_scheduler_budget_reads_obs_clock () =
+  let budget = 5.0 in
+  let t = ref 1e12 in
+  Gncg_obs.Clock.set (Some (fun () -> !t));
+  let exec i =
+    if i = 0 then t := !t +. ((budget +. 1.0) *. 1e9);
+    i
+  in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Gncg_obs.Clock.set None)
+      (fun () -> R.Scheduler.run_sequential ~budget exec [ 0; 1 ])
+  in
+  match results with
+  | [ (0, slow); (1, fast) ] ->
+    Alcotest.(check string) "slow job" "timeout" (outcome_to_string slow.R.Scheduler.outcome);
+    check_float "slow elapsed" (budget +. 1.0) slow.R.Scheduler.elapsed;
+    Alcotest.(check string) "fast job" "completed 1" (outcome_to_string fast.R.Scheduler.outcome);
+    check_float "fast elapsed" 0.0 fast.R.Scheduler.elapsed
+  | _ -> Alcotest.fail "expected two reports in input order"
+
 (* --- Ws_deque ----------------------------------------------------------- *)
 
 let test_ws_deque_sequential_semantics () =
@@ -428,6 +452,7 @@ let suites =
         case "scheduler isolates crashes, bounded retry"
           test_scheduler_crash_isolation_and_retry;
         case "scheduler budget -> timeout" test_scheduler_budget_classifies_timeout;
+        case "scheduler budget reads the obs clock" test_scheduler_budget_reads_obs_clock;
         case "ws_deque sequential semantics" test_ws_deque_sequential_semantics;
         case "ws_deque concurrent conservation" test_ws_deque_concurrent_conservation;
         case "batch kill-and-resume" test_batch_kill_and_resume;
