@@ -849,7 +849,6 @@ let e21_scaling () =
                  (Gncg_metric.Euclidean.random_uniform r ~n ~d:2 ~lo:0.0 ~hi:100.0))
           in
           let start = W.Instances.random_profile r host in
-          let t0 = Sys.time () in
           match
             Gncg.Dynamics.run
               (Gncg.Dynamics.Config.make ~max_steps:20_000 ~evaluator:`Incremental
@@ -857,7 +856,6 @@ let e21_scaling () =
               host start
           with
           | Gncg.Dynamics.Converged { profile; steps; _ } ->
-            let elapsed = Sys.time () -. t0 in
             let stats = Gncg.Net_stats.of_profile host profile in
             let _, opt = Gncg.Social_optimum.greedy_heuristic host in
             rows :=
@@ -865,7 +863,6 @@ let e21_scaling () =
                 string_of_int n;
                 T.fl ~digits:1 alpha;
                 string_of_int (List.length steps);
-                T.fl ~digits:1 elapsed;
                 T.fl ~digits:4 (stats.Gncg.Net_stats.social_cost /. opt);
                 T.fl ~digits:3 stats.Gncg.Net_stats.stretch;
                 T.fl ~digits:3 (Gncg.Quality.ae_spanner_stretch alpha);
@@ -873,11 +870,11 @@ let e21_scaling () =
               ]
               :: !rows
           | _ ->
-            rows := [ string_of_int n; T.fl ~digits:1 alpha; "-"; "-"; "-"; "-"; "-"; "-" ] :: !rows)
+            rows := [ string_of_int n; T.fl ~digits:1 alpha; "-"; "-"; "-"; "-"; "-" ] :: !rows)
         [ 2.0; 8.0 ])
     [ 20; 40; 80 ];
   T.print
-    ~header:[ "n"; "alpha"; "moves"; "sec"; "GE/heur-opt"; "stretch"; "a+1"; "avg deg" ]
+    ~header:[ "n"; "alpha"; "moves"; "GE/heur-opt"; "stretch"; "a+1"; "avg deg" ]
     (List.rev !rows)
 
 (* ----------------------------------------------------------------- E22 *)

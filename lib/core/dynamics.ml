@@ -89,6 +89,29 @@ let deviation_full ?(evaluator = `Reference) rule host s u =
 let deviation ?evaluator rule host s u =
   Option.map (fun (s', gain, _) -> (s', gain)) (deviation_full ?evaluator rule host s u)
 
+(* Profile fingerprints for cycle detection: the XOR, over every owned
+   pair (u,v), of a splitmix64-style finalizer of [u*n+v], its constants
+   cut to OCaml's 63-bit ints (the multipliers stay odd, so each step is
+   a bijection).  A move by [u] changes only [S_u], so XOR-ing out the
+   old set's pairs and in the new one's updates the fingerprint in
+   O(deg); pairs kept by the move cancel. *)
+let mix x =
+  let x = x + 0x1e3779b97f4a7c15 in
+  let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  x lxor (x lsr 31)
+
+let strategy_fingerprint s u =
+  let base = u * Strategy.n s in
+  Strategy.ISet.fold (fun v acc -> acc lxor mix (base + v)) (Strategy.strategy s u) 0
+
+let fingerprint s =
+  let fp = ref 0 in
+  for u = 0 to Strategy.n s - 1 do
+    fp := !fp lxor strategy_fingerprint s u
+  done;
+  !fp
+
 (* Can the distance row of [v] enter agent [a]'s row-local verdict?  Only
    through the insertion kernel Σ_x min(d_a(x), w + d_v(x)), which is
    evaluated exactly for the targets Move.candidates deems addable. *)
@@ -130,12 +153,17 @@ let run cfg host start =
         Some (Net_state.apply_move st ~agent:u mv, gain, before))
     | None -> deviation_full ~evaluator rule host s u
   in
+  (* Every profile visited so far, keyed by fingerprint.  A fingerprint
+     hit is confirmed with [Strategy.equal], so a collision costs time,
+     never a false cycle.  A revisited profile certifies an improving-move
+     cycle under any scheduler: every recorded transition strictly
+     improves its mover. *)
   let seen = Hashtbl.create 97 in
-  (* Trace of profiles since the start, newest first, for cycle extraction.
-     A revisited profile certifies an improving-move cycle under any
-     scheduler: every recorded transition strictly improves its mover. *)
+  let fp = ref (fingerprint start) in
+  Hashtbl.add seen !fp start;
+  (* Trace of profiles since the start, newest first, for cycle
+     extraction.  Consecutive profiles share all but one strategy set. *)
   let trace = ref [ start ] in
-  Hashtbl.replace seen (Strategy.canonical_key start) ();
   let steps = ref [] in
   let next_agent slot =
     match scheduler with
@@ -214,18 +242,17 @@ let run cfg host start =
         | Some (s', gain, before) ->
           Metric.Counter.incr c_moves;
           steps := { mover = u; before_cost = before; after_cost = before -. gain } :: !steps;
-          let key = Strategy.canonical_key s' in
-          if Hashtbl.mem seen key then begin
+          fp := !fp lxor strategy_fingerprint s u lxor strategy_fingerprint s' u;
+          if List.exists (Strategy.equal s') (Hashtbl.find_all seen !fp) then begin
             (* Extract the segment of the trace from the previous visit. *)
             let rec take acc = function
               | [] -> acc
-              | p :: rest ->
-                if Strategy.canonical_key p = key then p :: acc else take (p :: acc) rest
+              | p :: rest -> if Strategy.equal p s' then p :: acc else take (p :: acc) rest
             in
             Cycle { profiles = take [] !trace @ [ s' ]; steps = List.rev !steps }
           end
           else begin
-            Hashtbl.replace seen key ();
+            Hashtbl.add seen !fp s';
             trace := s' :: !trace;
             (match state with
             | Some st -> settle_after_move (Net_state.drain_changes st) s'

@@ -32,7 +32,10 @@ type outcome =
           vector) — every recorded transition strictly improves its mover,
           so a revisit is a certificate under any scheduler.  [profiles]
           lists the cycle states in order; the first and last entries are
-          equal. *)
+          equal, and no other state repeats.  Revisits are found by a
+          63-bit profile fingerprint and confirmed with
+          {!Strategy.equal}, so a fingerprint collision can never produce
+          a false [Cycle]. *)
   | Out_of_steps of { profile : Strategy.t; steps : step list }
 
 (** The engine configuration: what used to be a sprawl of optional
@@ -53,7 +56,13 @@ end
 val run : Config.t -> Host.t -> Strategy.t -> outcome
 (** Runs until convergence, cycle detection or [Config.max_steps] agent
     activations.  Convergence means every agent has been observed idle
-    since the last accepted move.  [Config.evaluator] selects the
+    since the last accepted move.  A cycle is a revisited profile: every
+    visited profile is kept under its fingerprint (the XOR of a fixed
+    integer mix over all owned pairs), updated after each move from the
+    mover's old and new strategy sets in O(deg) and confirmed on a hit
+    with {!Strategy.equal}; besides the evaluation, a move thus costs
+    O(deg) plus one hash-table lookup, not O(profile).
+    [Config.evaluator] selects the
     single-move engine for [Greedy_response]/[Add_only]:
 
     - [`Reference] (default): rebuild + Dijkstra per candidate — obviously

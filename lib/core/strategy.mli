@@ -48,7 +48,7 @@ val double_bought : t -> (int * int) list
     equilibrium (footnote 1 of the paper). *)
 
 val canonical_key : t -> string
-(** Injective serialization; used for cycle detection in dynamics. *)
+(** Injective serialization, for outcome digests and tests. *)
 
 val equal : t -> t -> bool
 

@@ -217,6 +217,126 @@ let prop_backends_agree =
       in
       outcomes_identical (go D.Dense) (go spec))
 
+(* Pinned outcomes: fixed seeds over every rule, evaluator and scheduler
+   family, each digested (outcome kind, step count, canonical keys of its
+   profiles) and compared with a recorded digest.  A changed digest means
+   the dynamics reached a different outcome, or found a cycle at a
+   different step. *)
+let outcome_digest o =
+  let kind, profiles, steps =
+    match o with
+    | Dyn.Converged { profile; steps; _ } -> ("converged", [ profile ], steps)
+    | Dyn.Cycle { profiles; steps } -> ("cycle", profiles, steps)
+    | Dyn.Out_of_steps { profile; steps } -> ("out_of_steps", [ profile ], steps)
+  in
+  String.concat "|"
+    (kind :: string_of_int (List.length steps) :: List.map Strategy.canonical_key profiles)
+  |> Digest.string |> Digest.to_hex
+
+let is_cycle = function Dyn.Cycle _ -> true | Dyn.Converged _ | Dyn.Out_of_steps _ -> false
+
+let pinned_incremental rule model seed =
+  let r = Prng.create seed in
+  let host = Gncg_workload.Instances.random_host r model ~n:40 ~alpha:1.5 in
+  let start = Gncg_workload.Instances.random_profile r host in
+  Dyn.run (Dyn.Config.make ~max_steps:20_000 ~evaluator:`Incremental rule Dyn.Round_robin) host start
+
+let pinned_small ?evaluator rule scheduler ~n seed =
+  let r = Prng.create seed in
+  let host = small_metric_host r ~n ~alpha:(0.5 +. Prng.float r 2.0) in
+  let start = Gncg_workload.Instances.random_profile r host in
+  Dyn.run (Dyn.Config.make ~max_steps:5000 ?evaluator rule scheduler) host start
+
+(* The Fig. 8 cycle hunt of [Brcycle.search_host]: a random start and a
+   random activation order split off one seeded stream.  Seeds 37 and
+   143 are the first to cycle under their rule. *)
+let pinned_fig8 ?evaluator rule seed =
+  let host = Gncg_constructions.Brcycle.fig8_host ~alpha:1.0 in
+  let r = Prng.create seed in
+  let start = Gncg_constructions.Brcycle.random_profile r host in
+  let scheduler = Dyn.Random_order (Prng.split r) in
+  (host, Dyn.run (Dyn.Config.make ~max_steps:1500 ?evaluator rule scheduler) host start)
+
+let test_pinned_outcomes () =
+  let general = Gncg_workload.Instances.General { lo = 1.0; hi = 10.0 } in
+  let one_inf = Gncg_workload.Instances.One_inf { p = 0.5 } in
+  let cases =
+    [
+      ("greedy incremental n=40", "80171c10727f86ccfe50bd8a138a2f83",
+        fun () -> pinned_incremental Dyn.Greedy_response general 11);
+      ("greedy incremental n=40 (1-inf)", "d3313f7d6c95868c9cd5e9cb25aca9b4",
+        fun () -> pinned_incremental Dyn.Greedy_response one_inf 12);
+      ("add-only incremental n=40", "cb3ae691a347088441996aa32495ec91",
+        fun () -> pinned_incremental Dyn.Add_only one_inf 13);
+      ("add-only incremental n=40 (general)", "7379aa2958d324eefb5b69e72ab478db",
+        fun () -> pinned_incremental Dyn.Add_only general 14);
+      ("greedy reference n=10", "da872ceec5e75714423b23702b787ea0",
+        fun () -> pinned_small ~evaluator:`Reference Dyn.Greedy_response Dyn.Round_robin ~n:10 15);
+      ("best response n=6", "63fb3de661011232df61867ea67087d6",
+        fun () -> pinned_small Dyn.Best_response Dyn.Round_robin ~n:6 16);
+      ("random improving, random order n=6", "2ad9d33530e85b0a7f73ae4c63710d9b",
+        fun () ->
+          pinned_small (Dyn.Random_improving (Prng.create 17))
+            (Dyn.Random_order (Prng.create 18)) ~n:6 19);
+      ("fig8 greedy incremental cycle", "d45547f1895dcc9a22f25b7fd523b004",
+        fun () -> snd (pinned_fig8 ~evaluator:`Incremental Dyn.Greedy_response 37));
+      ("fig8 random improving cycle", "cc117e50125ab002cf4897cda1b48c17",
+        fun () -> snd (pinned_fig8 (Dyn.Random_improving (Prng.create 143)) 143));
+    ]
+  in
+  List.iter
+    (fun (name, expected, run) ->
+      Alcotest.(check string) ("pinned: " ^ name) expected (outcome_digest (run ())))
+    cases
+
+let test_pinned_cycles () =
+  List.iter
+    (fun (name, (host, outcome)) ->
+      check_true (name ^ " cycles") (is_cycle outcome);
+      match outcome with
+      | Dyn.Cycle { profiles; _ } ->
+        check_true (name ^ " certificate verifies")
+          (Gncg_constructions.Brcycle.verify_cycle host profiles)
+      | Dyn.Converged _ | Dyn.Out_of_steps _ -> ())
+    [
+      ("fig8 greedy incremental", pinned_fig8 ~evaluator:`Incremental Dyn.Greedy_response 37);
+      ("fig8 greedy reference", pinned_fig8 ~evaluator:`Reference Dyn.Greedy_response 37);
+      ("fig8 random improving", pinned_fig8 (Dyn.Random_improving (Prng.create 143)) 143);
+    ]
+
+(* Every reported cycle is exact: it closes on its first profile, visits
+   no profile twice before that, and every transition is an improving
+   move of one agent.  Half the cases start on a stored cycle witness,
+   where random improving dynamics cycle often enough to be exercised. *)
+let prop_cycles_exact =
+  QCheck.Test.make ~count:200 ~name:"random improving dynamics: cycles are exact"
+    QCheck.small_nat
+    (fun seed ->
+      let host, start =
+        if seed mod 2 = 0 then random_game (seed + 101) ~n:(4 + (seed mod 3))
+        else
+          let host, cycle =
+            if seed mod 4 = 1 then Gncg_constructions.Brcycle.fig5_like_instance ()
+            else Gncg_constructions.Brcycle.fig8_cycle ()
+          in
+          (host, List.nth cycle (seed mod (List.length cycle)))
+      in
+      let rule = Dyn.Random_improving (Prng.create (3 * seed)) in
+      let scheduler = Dyn.Random_order (Prng.create ((3 * seed) + 1)) in
+      match Dyn.run (Dyn.Config.make ~max_steps:800 rule scheduler) host start with
+      | Dyn.Cycle { profiles; steps } ->
+        let interior = List.rev (List.tl (List.rev profiles)) in
+        let rec distinct = function
+          | [] -> true
+          | p :: rest -> (not (List.exists (Strategy.equal p) rest)) && distinct rest
+        in
+        List.length profiles >= 3
+        && Strategy.equal (List.hd profiles) (List.nth profiles (List.length profiles - 1))
+        && distinct interior
+        && List.length steps >= List.length interior
+        && Gncg_constructions.Brcycle.verify_cycle host profiles
+      | Dyn.Converged _ | Dyn.Out_of_steps _ -> true)
+
 let suites =
   [
     ( "dynamics",
@@ -232,5 +352,8 @@ let suites =
         case "deviation degradation counter" test_deviation_degradation_counter;
         case "stateless evaluator" test_stateless_evaluator_runs;
         QCheck_alcotest.to_alcotest prop_backends_agree;
+        case "pinned outcomes" test_pinned_outcomes;
+        case "pinned cycles" test_pinned_cycles;
+        QCheck_alcotest.to_alcotest prop_cycles_exact;
       ] );
   ]
