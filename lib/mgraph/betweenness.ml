@@ -5,7 +5,6 @@
 let eps = 1e-12
 
 type pass = {
-  dist : float array;
   sigma : float array;  (* number of shortest paths from the source *)
   order : int list;     (* settled vertices, farthest first *)
   preds : int list array;  (* shortest-path predecessors *)
@@ -13,35 +12,34 @@ type pass = {
 
 let single_source g s =
   let n = Wgraph.n g in
-  let dist = Array.make n Float.infinity in
+  let dist = Float.Array.make n Float.infinity in
   let sigma = Array.make n 0.0 in
   let preds = Array.make n [] in
-  let heap = Binary_heap.create n in
+  let heap = Binary_heap.create dist in
   let settled = ref [] in
-  dist.(s) <- 0.0;
+  Float.Array.set dist s 0.0;
   sigma.(s) <- 1.0;
-  Binary_heap.insert heap s 0.0;
-  let rec loop () =
-    match Binary_heap.pop_min heap with
-    | None -> ()
-    | Some (u, du) ->
-      settled := u :: !settled;
-      Wgraph.iter_neighbors g u (fun v w ->
-          let dv = du +. w in
-          if dv < dist.(v) -. eps then begin
-            dist.(v) <- dv;
-            sigma.(v) <- sigma.(u);
-            preds.(v) <- [ u ];
-            Binary_heap.insert_or_decrease heap v dv
-          end
-          else if Float.abs (dv -. dist.(v)) <= eps then begin
-            sigma.(v) <- sigma.(v) +. sigma.(u);
-            preds.(v) <- u :: preds.(v)
-          end);
-      loop ()
-  in
-  loop ();
-  { dist; sigma; order = !settled; preds }
+  Binary_heap.insert heap s;
+  let next = ref (Binary_heap.pop_min heap) in
+  while !next >= 0 do
+    let u = !next in
+    let du = Float.Array.get dist u in
+    settled := u :: !settled;
+    Wgraph.iter_neighbors g u (fun v w ->
+        let dv = du +. w in
+        if dv < Float.Array.get dist v -. eps then begin
+          Float.Array.set dist v dv;
+          sigma.(v) <- sigma.(u);
+          preds.(v) <- [ u ];
+          Binary_heap.insert_or_decrease heap v
+        end
+        else if Float.abs (dv -. Float.Array.get dist v) <= eps then begin
+          sigma.(v) <- sigma.(v) +. sigma.(u);
+          preds.(v) <- u :: preds.(v)
+        end);
+    next := Binary_heap.pop_min heap
+  done;
+  { sigma; order = !settled; preds }
 
 let accumulate g s ~on_vertex ~on_edge =
   let n = Wgraph.n g in

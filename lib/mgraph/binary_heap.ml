@@ -1,22 +1,19 @@
 type t = {
+  keys : Float.Array.t;     (* id -> priority, owned by the caller *)
   ids : int array;          (* heap slots -> id *)
-  prio : float array;       (* heap slots -> priority *)
   pos : int array;          (* id -> heap slot, or -1 *)
   mutable size : int;
 }
 
-let create capacity =
-  if capacity < 0 then invalid_arg "Binary_heap.create";
-  {
-    ids = Array.make (max capacity 1) (-1);
-    prio = Array.make (max capacity 1) 0.0;
-    pos = Array.make (max capacity 1) (-1);
-    size = 0;
-  }
+let create keys =
+  let capacity = Float.Array.length keys in
+  { keys; ids = Array.make capacity (-1); pos = Array.make capacity (-1); size = 0 }
+
+let capacity h = Array.length h.pos
 
 let is_empty h = h.size = 0
 
-let capacity h = Array.length h.pos
+let size h = h.size
 
 let clear h =
   (* Only the stored ids have a live [pos] entry: O(size), not O(capacity). *)
@@ -25,72 +22,71 @@ let clear h =
   done;
   h.size <- 0
 
-let size h = h.size
-
 let mem h id = id >= 0 && id < Array.length h.pos && h.pos.(id) >= 0
 
-let swap h i j =
-  let idi = h.ids.(i) and idj = h.ids.(j) in
-  h.ids.(i) <- idj;
-  h.ids.(j) <- idi;
-  let p = h.prio.(i) in
-  h.prio.(i) <- h.prio.(j);
-  h.prio.(j) <- p;
-  h.pos.(idi) <- j;
-  h.pos.(idj) <- i
+let key h id = Float.Array.unsafe_get h.keys id
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.prio.(i) < h.prio.(parent) then begin
-      swap h i parent;
-      sift_up h parent
+(* Both sifts move a hole instead of swapping: [id] is written once, at
+   its final slot. *)
+let sift_up h i id =
+  let k = key h id in
+  let i = ref i in
+  while
+    !i > 0
+    && k < key h (Array.unsafe_get h.ids ((!i - 1) / 2))
+  do
+    let p = (!i - 1) / 2 in
+    let pid = Array.unsafe_get h.ids p in
+    Array.unsafe_set h.ids !i pid;
+    Array.unsafe_set h.pos pid !i;
+    i := p
+  done;
+  Array.unsafe_set h.ids !i id;
+  Array.unsafe_set h.pos id !i
+
+let sift_down h i id =
+  let k = key h id in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= h.size then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < h.size && key h (Array.unsafe_get h.ids r) < key h (Array.unsafe_get h.ids l)
+        then r
+        else l
+      in
+      let cid = Array.unsafe_get h.ids c in
+      if key h cid < k then begin
+        Array.unsafe_set h.ids !i cid;
+        Array.unsafe_set h.pos cid !i;
+        i := c
+      end
+      else moving := false
     end
-  end
+  done;
+  Array.unsafe_set h.ids !i id;
+  Array.unsafe_set h.pos id !i
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.prio.(l) < h.prio.(!smallest) then smallest := l;
-  if r < h.size && h.prio.(r) < h.prio.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let insert h id p =
+let insert h id =
   if id < 0 || id >= Array.length h.pos then invalid_arg "Binary_heap.insert: id out of range";
   if h.pos.(id) >= 0 then invalid_arg "Binary_heap.insert: duplicate id";
-  let i = h.size in
-  h.ids.(i) <- id;
-  h.prio.(i) <- p;
-  h.pos.(id) <- i;
   h.size <- h.size + 1;
-  sift_up h i
+  sift_up h (h.size - 1) id
 
-let decrease h id p =
+let decrease h id =
   if not (mem h id) then invalid_arg "Binary_heap.decrease: absent id";
-  let i = h.pos.(id) in
-  if p > h.prio.(i) then invalid_arg "Binary_heap.decrease: priority increase";
-  h.prio.(i) <- p;
-  sift_up h i
+  sift_up h h.pos.(id) id
 
-let insert_or_decrease h id p =
-  if mem h id then begin
-    if p < h.prio.(h.pos.(id)) then decrease h id p
-  end
-  else insert h id p
+let insert_or_decrease h id = if mem h id then sift_up h h.pos.(id) id else insert h id
 
 let pop_min h =
-  if h.size = 0 then None
+  if h.size = 0 then -1
   else begin
-    let id = h.ids.(0) and p = h.prio.(0) in
-    let last = h.size - 1 in
-    swap h 0 last;
-    h.size <- last;
-    h.pos.(id) <- -1;
-    if h.size > 0 then sift_down h 0;
-    Some (id, p)
+    let top = h.ids.(0) in
+    h.pos.(top) <- -1;
+    h.size <- h.size - 1;
+    if h.size > 0 then sift_down h 0 h.ids.(h.size);
+    top
   end
-
-let priority h id = if mem h id then Some h.prio.(h.pos.(id)) else None

@@ -2,24 +2,31 @@
 
     Distances use [Float.infinity] for unreachable vertices, matching the
     paper's convention that a disconnected agent has infinite distance
-    cost. *)
+    cost.
+
+    Every entry point runs one kernel: Dijkstra over {!Wgraph}'s flat
+    slots, with a {!workspace} holding an unboxed distance row and a
+    {!Binary_heap} keyed by that row.  The entry points differ only in where
+    the row is copied to and whether parents or a limit are tracked.  The
+    distances themselves do not depend on neighbour or heap order: each is
+    the minimum over the vertex's neighbours [u] of [d(u) +. w(u,v)]. *)
 
 val sssp : Wgraph.t -> int -> float array
-(** [sssp g s] is the array of shortest-path distances from [s]. *)
+(** [sssp g s] is the array of shortest-path distances from [s].  It
+    allocates a fresh workspace; repeated callers should hold one and use
+    {!sssp_into}. *)
 
 type workspace
-(** A reusable heap for repeated single-source passes: one allocation for
-    the lifetime of an engine instead of one per call.  Not thread-safe;
-    each domain needs its own. *)
+(** The kernel's state: a distance row and a heap over it, allocated once
+    for the lifetime of an engine instead of once per pass.  Not
+    thread-safe; each domain needs its own. *)
 
 val workspace : int -> workspace
 (** [workspace n] serves graphs of up to [n] vertices. *)
 
-val workspace_capacity : workspace -> int
-
 val sssp_into : workspace -> Wgraph.t -> int -> float array -> unit
 (** [sssp_into ws g s row] writes the distances from [s] into
-    [row.(0 .. n-1)] (longer rows keep their tail) — allocation-free.
+    [row.(0 .. n-1)] (longer rows keep their tail) and allocates nothing.
     Raises [Invalid_argument] when the workspace or the row is smaller
     than the graph. *)
 
@@ -30,7 +37,8 @@ val sssp_flat_into : workspace -> Wgraph.t -> int -> Float.Array.t -> int -> uni
 
 val sssp_with_parents : Wgraph.t -> int -> float array * int array
 (** Also returns a shortest-path-tree parent array ([-1] for the source and
-    unreachable vertices). *)
+    unreachable vertices).  Among equally short paths the parent depends
+    on slot order. *)
 
 val sssp_bounded : Wgraph.t -> int -> float -> float array
 (** [sssp_bounded g s limit] stops settling vertices once the frontier

@@ -22,18 +22,21 @@ let sum a =
   (* Kahan summation: distance costs add up thousands of terms and the
      equilibrium checks compare them with a 1e-9 tolerance.  Infinite
      entries (disconnected agents) must propagate as infinity — the naive
-     compensation would produce inf - inf = NaN. *)
-  if Array.exists (fun x -> x = Float.infinity) a then Float.infinity
-  else begin
-    let s = ref 0.0 and c = ref 0.0 in
-    for i = 0 to Array.length a - 1 do
-      let y = a.(i) -. !c in
+     compensation would produce inf - inf = NaN — so they are flagged
+     instead of added, as in [sum_min_add]; the loop allocates nothing. *)
+  let s = ref 0.0 and c = ref 0.0 in
+  let any_inf = ref false in
+  for i = 0 to Array.length a - 1 do
+    let x = Array.unsafe_get a i in
+    if x = Float.infinity then any_inf := true
+    else begin
+      let y = x -. !c in
       let t = !s +. y in
       c := t -. !s -. y;
       s := t
-    done;
-    !s
-  end
+    end
+  done;
+  if !any_inf then Float.infinity else !s
 
 let sum_min_add a w b =
   (* Σ_i min(a_i, w + b_i), the edge-insertion distance sum, in one

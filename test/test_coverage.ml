@@ -9,18 +9,21 @@ let test_bfs_reachable () =
   Alcotest.(check (array bool)) "reachable flags" [| true; true; false; false |]
     (Gncg_graph.Bfs.reachable g 0)
 
-let test_pairing_heap_empty_ops () =
-  let h = Gncg_graph.Pairing_heap.empty ~cmp:compare in
-  Alcotest.(check (option int)) "find_min empty" None (Gncg_graph.Pairing_heap.find_min h);
-  check_true "delete_min empty" (Gncg_graph.Pairing_heap.delete_min h = None);
-  Alcotest.(check int) "size empty" 0 (Gncg_graph.Pairing_heap.size h)
-
 let test_heap_priority_query () =
-  let h = Gncg_graph.Binary_heap.create 4 in
-  Alcotest.(check (option (float 0.0))) "absent" None (Gncg_graph.Binary_heap.priority h 2);
-  Gncg_graph.Binary_heap.insert h 2 1.5;
-  Alcotest.(check (option (float 0.0))) "present" (Some 1.5)
-    (Gncg_graph.Binary_heap.priority h 2)
+  (* The heap stores ids and reads their priorities from the caller's keys. *)
+  let module H = Gncg_graph.Binary_heap in
+  let keys = Float.Array.make 4 Float.infinity in
+  let h = H.create keys in
+  Alcotest.(check int) "capacity" 4 (H.capacity h);
+  check_false "absent" (H.mem h 2);
+  Float.Array.set keys 2 1.5;
+  H.insert h 2;
+  Float.Array.set keys 3 0.5;
+  H.insert h 3;
+  check_true "present" (H.mem h 2);
+  Alcotest.(check int) "min by key" 3 (H.pop_min h);
+  H.clear h;
+  check_true "cleared" (H.is_empty h && not (H.mem h 2))
 
 let test_tablefmt_alignment () =
   let s =
@@ -112,7 +115,6 @@ let suites =
     ( "coverage",
       [
         case "bfs reachable" test_bfs_reachable;
-        case "pairing heap empties" test_pairing_heap_empty_ops;
         case "heap priority query" test_heap_priority_query;
         case "table alignment" test_tablefmt_alignment;
         case "network distance helpers" test_network_distance_helpers;

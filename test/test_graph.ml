@@ -3,7 +3,6 @@ module Wgraph = Gncg_graph.Wgraph
 module Dijkstra = Gncg_graph.Dijkstra
 module Fw = Gncg_graph.Floyd_warshall
 module Heap = Gncg_graph.Binary_heap
-module Pheap = Gncg_graph.Pairing_heap
 
 (* --- Wgraph ------------------------------------------------------------ *)
 
@@ -63,62 +62,53 @@ let test_wgraph_edges_once () =
 let test_heap_sorts () =
   let r = rng 4 in
   let n = 200 in
-  let h = Heap.create n in
-  let keys = Array.init n (fun _ -> Gncg_util.Prng.float r 100.0) in
-  Array.iteri (fun i k -> Heap.insert h i k) keys;
+  let keys = Float.Array.init n (fun _ -> Gncg_util.Prng.float r 100.0) in
+  let h = Heap.create keys in
+  for i = 0 to n - 1 do
+    Heap.insert h i
+  done;
   Alcotest.(check int) "size" n (Heap.size h);
   let prev = ref Float.neg_infinity in
   for _ = 1 to n do
-    match Heap.pop_min h with
-    | None -> Alcotest.fail "premature empty"
-    | Some (_, p) ->
-      check_true "non-decreasing" (p >= !prev);
-      prev := p
+    let p = Float.Array.get keys (Heap.pop_min h) in
+    check_true "non-decreasing" (p >= !prev);
+    prev := p
   done;
-  check_true "empty at end" (Heap.is_empty h)
+  check_true "empty at end" (Heap.is_empty h);
+  Alcotest.(check int) "pop empty" (-1) (Heap.pop_min h)
 
 let test_heap_decrease () =
-  let h = Heap.create 5 in
-  Heap.insert h 0 10.0;
-  Heap.insert h 1 20.0;
-  Heap.decrease h 1 5.0;
-  (match Heap.pop_min h with
-  | Some (id, p) ->
-    Alcotest.(check int) "decreased wins" 1 id;
-    check_float "priority" 5.0 p
-  | None -> Alcotest.fail "empty");
+  let keys = Float.Array.make 5 Float.infinity in
+  let h = Heap.create keys in
+  Float.Array.set keys 0 10.0;
+  Heap.insert h 0;
+  Float.Array.set keys 1 20.0;
+  Heap.insert h 1;
+  Float.Array.set keys 1 5.0;
+  Heap.decrease h 1;
+  Alcotest.(check int) "decreased wins" 1 (Heap.pop_min h);
+  check_false "popped id absent" (Heap.mem h 1);
   Alcotest.check_raises "decrease absent"
-    (Invalid_argument "Binary_heap.decrease: absent id") (fun () -> Heap.decrease h 3 1.0)
+    (Invalid_argument "Binary_heap.decrease: absent id") (fun () -> Heap.decrease h 3)
 
 let test_heap_insert_or_decrease () =
-  let h = Heap.create 3 in
-  Heap.insert_or_decrease h 0 10.0;
-  Heap.insert_or_decrease h 0 3.0;
-  Heap.insert_or_decrease h 0 50.0 (* ignored: larger *);
-  Alcotest.(check (option (float 1e-9))) "kept min" (Some 3.0) (Heap.priority h 0)
+  let keys = Float.Array.make 3 Float.infinity in
+  let h = Heap.create keys in
+  Float.Array.set keys 0 10.0;
+  Heap.insert_or_decrease h 0;
+  Float.Array.set keys 2 7.0;
+  Heap.insert_or_decrease h 2;
+  Float.Array.set keys 0 3.0;
+  Heap.insert_or_decrease h 0;
+  Alcotest.(check int) "stored once" 2 (Heap.size h);
+  Alcotest.(check int) "lowered key wins" 0 (Heap.pop_min h);
+  Alcotest.(check int) "then the other" 2 (Heap.pop_min h)
 
 let test_heap_duplicate_insert () =
-  let h = Heap.create 3 in
-  Heap.insert h 0 1.0;
+  let h = Heap.create (Float.Array.make 3 1.0) in
+  Heap.insert h 0;
   Alcotest.check_raises "duplicate" (Invalid_argument "Binary_heap.insert: duplicate id")
-    (fun () -> Heap.insert h 0 2.0)
-
-(* --- Pairing heap ------------------------------------------------------- *)
-
-let test_pairing_heap_sorts () =
-  let r = rng 6 in
-  let xs = List.init 300 (fun _ -> Gncg_util.Prng.int r 1000) in
-  let h = Pheap.of_list ~cmp:compare xs in
-  Alcotest.(check int) "size" 300 (Pheap.size h);
-  Alcotest.(check (list int)) "sorted" (List.sort compare xs) (Pheap.to_sorted_list h)
-
-let test_pairing_heap_merge () =
-  let a = Pheap.of_list ~cmp:compare [ 5; 1; 9 ] in
-  let b = Pheap.of_list ~cmp:compare [ 3; 7 ] in
-  let m = Pheap.merge a b in
-  Alcotest.(check (list int)) "merged sorted" [ 1; 3; 5; 7; 9 ] (Pheap.to_sorted_list m);
-  Alcotest.(check (option int)) "find_min" (Some 1) (Pheap.find_min m);
-  check_true "empty is empty" (Pheap.is_empty (Pheap.empty ~cmp:compare))
+    (fun () -> Heap.insert h 0)
 
 (* --- Shortest paths ----------------------------------------------------- *)
 
@@ -304,8 +294,6 @@ let suites =
         case "decrease key" test_heap_decrease;
         case "insert_or_decrease" test_heap_insert_or_decrease;
         case "duplicate insert rejected" test_heap_duplicate_insert;
-        case "pairing heap sorts" test_pairing_heap_sorts;
-        case "pairing heap merge" test_pairing_heap_merge;
       ] );
     ( "graph.shortest-paths",
       [
