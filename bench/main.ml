@@ -59,7 +59,7 @@ let () =
     let rec strip_domains = function
       | "--domains" :: d :: rest ->
         (match int_of_string_opt d with
-        | Some k when k >= 1 -> Gncg_util.Parallel.set_default_domains (Some k)
+        | Some k when k >= 1 -> Gncg_util.Exec.set_default_domains (Some k)
         | _ ->
           prerr_endline ("bench: --domains expects a positive integer, got " ^ d);
           exit 2);

@@ -6,7 +6,7 @@
    dense equilibria found in a handful of moves; large alpha: long
    add/delete/swap cascades), so static chunking strands every fast
    chunk behind the slowest one.  The bench reports wall clock for
-   (a) sequential, (b) static chunks via Parallel.init, (c) the
+   (a) sequential, (b) static chunks via Exec.init, (c) the
    work-stealing scheduler, and hard-asserts that all three produce the
    same per-job results.  Speedups are hardware dependent (on a 1-core
    container all three are within noise); the equivalence assertions are
@@ -25,7 +25,7 @@ let () =
   (match args with
   | "--domains" :: d :: _ -> (
     match int_of_string_opt d with
-    | Some k when k >= 1 -> Gncg_util.Parallel.set_default_domains (Some k)
+    | Some k when k >= 1 -> Gncg_util.Exec.set_default_domains (Some k)
     | _ -> fail "--domains expects a positive integer, got %S" d)
   | _ -> ());
   let model = Gncg_workload.Instances.General { lo = 1.0; hi = 6.0 } in
@@ -38,7 +38,7 @@ let () =
   in
   let jobs = Gncg_runs.Batch.jobs config in
   let n_jobs = List.length jobs in
-  let domains = Gncg_util.Parallel.default_domains () in
+  let domains = Gncg_util.Exec.default_domains () in
   Printf.printf "orchestration bench: %d jobs, %d domains\n%!" n_jobs domains;
   let sequential, t_seq =
     time (fun () -> List.map Gncg_runs.Job.execute jobs)
@@ -47,7 +47,8 @@ let () =
   let static, t_static =
     time (fun () ->
         Array.to_list
-          (Gncg_util.Parallel.init n_jobs (fun i -> Gncg_runs.Job.execute job_array.(i))))
+          (Gncg_util.Exec.init ~exec:Gncg_util.Exec.default n_jobs (fun i ->
+               Gncg_runs.Job.execute job_array.(i))))
   in
   let stolen, t_steal =
     time (fun () ->

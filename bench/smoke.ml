@@ -133,7 +133,7 @@ let validate_bench8_json path doc =
     (fun prefix ->
       if not (List.exists (fun k -> String.starts_with ~prefix k) keys) then
         fail "%s: counters missing the %s* backend" path prefix)
-    [ "tree_dist."; "rd_dist."; "mmap_apsp."; "distances." ];
+    [ "tree_dist."; "rd_dist."; "distances." ];
   Printf.printf "bench-smoke: %s valid (%d results, dense macro %.3fx vs BENCH_4)\n%!"
     path (List.length results) ratio
 
@@ -365,9 +365,9 @@ let chaos_smoke () =
       <> Gncg_workload.Report.runs_to_csv retried.runs
     then fail "chaos: resumed runs differ from the uninterrupted batch");
   Sys.remove journal;
-  (* Mmap-backend fault injection: corrupt one maintained cell in the
-     file-backed mapping, require the drift sentinel to detect and
-     self-heal, and the healed store to match the dense engine exactly. *)
+  (* Dense-backend fault injection: corrupt one maintained cell, require
+     the drift sentinel to detect and self-heal, and the healed store to
+     match a fresh all-pairs Dijkstra exactly. *)
   (let module D = Gncg_graph.Distances in
    let rng = Gncg_util.Prng.create 11 in
    let n = 24 in
@@ -375,31 +375,29 @@ let chaos_smoke () =
      Gncg_metric.Tree_metric.graph
        (Gncg_metric.Tree_metric.random rng ~n ~wmin:1.0 ~wmax:5.0)
    in
-   let store = Filename.temp_file "gncg_chaos_mmap" ".bin" in
-   let md = D.mmap ~path:store g in
+   let truth = Gncg_graph.Dijkstra.apsp g in
    let dd = D.dense (Gncg_graph.Wgraph.copy g) in
    let agree msg =
      for u = 0 to n - 1 do
        for v = 0 to n - 1 do
-         if D.distance md u v <> D.distance dd u v then
-           fail "chaos: mmap/dense disagree at (%d,%d) %s" u v msg
+         if D.distance dd u v <> truth.(u).(v) then
+           fail "chaos: dense/Dijkstra disagree at (%d,%d) %s" u v msg
        done
      done
    in
    agree "before injection";
-   D.inject_cell_error md 3 7 0.25;
+   D.inject_cell_error dd 3 7 0.25;
    let detected = ref false in
    (* One sentinel probe covers one source; a full rotation must find the
       corrupt cell and repair it. *)
    for _ = 1 to n do
-     if not (D.selfcheck_now md) then detected := true
+     if not (D.selfcheck_now dd) then detected := true
    done;
-   if not !detected then fail "chaos: mmap sentinel missed an injected cell error";
-   if not (D.selfcheck_now md) then fail "chaos: mmap sentinel failed to self-heal";
-   agree "after repair";
-   Sys.remove store);
+   if not !detected then fail "chaos: dense sentinel missed an injected cell error";
+   if not (D.selfcheck_now dd) then fail "chaos: dense sentinel failed to self-heal";
+   agree "after repair");
   Printf.printf "chaos-smoke: %d jobs, %d injected crashes classified, torn journal \
-                 resumed, mmap cell fault healed\n%!"
+                 resumed, dense cell fault healed\n%!"
     (List.length jobs) predicted_crashes;
   print_endline "chaos-smoke ok";
   exit 0
@@ -414,7 +412,7 @@ let () =
     | "--domains" :: d :: rest -> (
       match int_of_string_opt d with
       | Some k when k >= 1 ->
-        Gncg_util.Parallel.set_default_domains (Some k);
+        Gncg_util.Exec.set_default_domains (Some k);
         parse rest
       | _ -> fail "--domains expects a positive integer, got %S" d)
     | "--selfcheck" :: c :: rest -> (
@@ -465,7 +463,7 @@ let () =
   if seq <> par then fail "sequential/parallel is_ge disagree";
   Printf.printf "is_ge n=%d: sequential %.3f s, parallel %.3f s (%.1fx, %d domains)\n%!" n
     t_seq t_par (t_seq /. t_par)
-    (Gncg_util.Parallel.default_domains ());
+    (Gncg_util.Exec.default_domains ());
   (* Journal smoke: run a tiny journaled batch, resume it, and require
      that the resume re-executes nothing and reproduces the same runs. *)
   let journal = Filename.temp_file "gncg_smoke" ".jsonl" in

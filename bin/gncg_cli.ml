@@ -128,7 +128,7 @@ module Common = struct
            & opt (some backend_conv) None
            & info [ "dist-backend" ] ~docv:"BACKEND"
                ~doc:
-                 "distance storage backend: auto | dense | tree | rd | mmap[:path].  \
+                 "distance storage backend: auto | dense | tree | rd.  \
                   auto (default) picks an implicit oracle (no O(n²) matrix) when \
                   the host geometry and network shape allow, dense otherwise; \
                   mutating dynamics degrade oracle selections to dense")
@@ -159,7 +159,7 @@ module Common = struct
     if c.dist_backend <> None && not (List.mem Dist_backend accepts) then
       reject "--dist-backend";
     Printexc.record_backtrace true;
-    Gncg_util.Parallel.set_default_domains c.domains;
+    Gncg_util.Exec.set_default_domains c.domains;
     (match c.selfcheck with
     | Some n -> Gncg_graph.Incr_apsp.set_default_selfcheck n
     | None -> ());

@@ -35,7 +35,7 @@ type t = {
 
 (* Process-wide default cadence applied to newly created engines — the
    hook [--selfcheck N] reaches every internally constructed instance
-   through (mirrors Parallel.set_default_domains). *)
+   through (mirrors Exec.set_default_domains). *)
 let default_selfcheck = ref 0
 
 let set_default_selfcheck n = default_selfcheck := max 0 n

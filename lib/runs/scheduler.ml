@@ -136,7 +136,7 @@ let run ?domains ?(budget = Float.infinity) ?(retries = 0) ?(diverged = fun _ ->
     match domains with
     | Some d when d >= 1 -> min d (max n 1)
     | Some _ -> invalid_arg "Scheduler.run: domains must be positive"
-    | None -> min (Gncg_util.Parallel.default_domains ()) (max n 1)
+    | None -> min (Gncg_util.Exec.default_domains ()) (max n 1)
   in
   if domains <= 1 then run_sequential ~budget ~retries ~diverged ~on_result exec jobs
   else begin

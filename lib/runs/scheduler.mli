@@ -1,6 +1,6 @@
 (** Work-stealing job scheduler over OCaml 5 domains.
 
-    [Parallel] (lib/util) splits an index space into static contiguous
+    {!Gncg_util.Exec} splits an index space into static contiguous
     chunks — the right shape for homogeneous hot loops (APSP rows,
     per-agent cost sums), and the wrong one for sweep batches, where run
     times vary by orders of magnitude across [alpha] and a single static
@@ -74,7 +74,7 @@ val run :
     input order (execution order is scheduler-dependent; results must
     not be).  [on_result] fires once per job as it finishes, serialized
     under a lock — the journal appends from it.  [domains] defaults to
-    {!Gncg_util.Parallel.default_domains}; [budget] to no limit;
+    {!Gncg_util.Exec.default_domains}; [budget] to no limit;
     [retries] to [0]; [diverged] to [fun _ -> false]. *)
 
 val run_sequential :

@@ -28,27 +28,78 @@ let to_string = function
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
+(* 0 = no override: fall back to the hardware-recommended count. *)
+let override = Atomic.make 0
+
+let set_default_domains = function
+  | None -> Atomic.set override 0
+  | Some d ->
+    if d < 1 then invalid_arg "Exec.set_default_domains";
+    Atomic.set override d
+
+let default_domains () =
+  let o = Atomic.get override in
+  if o > 0 then o
+  else
+    (* Leave one hardware thread for the orchestrating domain (the CLI
+       main loop, the serve daemon's accept/connection threads): a pool
+       that takes every core starves the producer feeding it. *)
+    max 1 (Domain.recommended_domain_count () - 1)
+
 let domain_count = function
   | Seq -> 1
   | Par { domains = Some d } -> max 1 d
-  | Par { domains = None } -> Parallel.default_domains ()
+  | Par { domains = None } -> default_domains ()
 
 let init ~exec n f =
-  match exec with
-  | Seq -> Array.init n f
-  | Par { domains } -> Parallel.init ?domains n f
+  if n < 0 then invalid_arg "Exec.init";
+  let domains = min (domain_count exec) n in
+  if domains <= 1 then Array.init n f
+  else begin
+    (* First cell computed on the main domain so the result array can be
+       allocated without an option layer. *)
+    let first = f 0 in
+    let result = Array.make n first in
+    let chunk = (n + domains - 1) / domains in
+    let worker k () =
+      let lo = max 1 (k * chunk) in
+      let hi = min n ((k + 1) * chunk) - 1 in
+      for i = lo to hi do
+        result.(i) <- f i
+      done
+    in
+    let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
+    List.iter Domain.join handles;
+    result
+  end
 
-let map_array ~exec f a =
-  match exec with
-  | Seq -> Array.map f a
-  | Par { domains } -> Parallel.map_array ?domains f a
+let map_array ~exec f a = init ~exec (Array.length a) (fun i -> f a.(i))
 
 let for_all ~exec n pred =
-  match exec with
-  | Seq ->
-    if n < 0 then invalid_arg "Exec.for_all";
+  if n < 0 then invalid_arg "Exec.for_all";
+  let domains = min (domain_count exec) n in
+  if domains <= 1 then begin
     let rec go i = i >= n || (pred i && go (i + 1)) in
     go 0
-  | Par { domains } -> Parallel.for_all ?domains n pred
+  end
+  else begin
+    (* Early exit: a counterexample found by any domain stops the
+       others at their next index. *)
+    let failed = Atomic.make false in
+    let chunk = (n + domains - 1) / domains in
+    let worker k () =
+      let lo = k * chunk in
+      let hi = min n ((k + 1) * chunk) - 1 in
+      let i = ref lo in
+      while (not (Atomic.get failed)) && !i <= hi do
+        if not (pred !i) then Atomic.set failed true;
+        incr i
+      done
+    in
+    let handles = List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1))) in
+    worker 0 ();
+    List.iter Domain.join handles;
+    not (Atomic.get failed)
+  end
 
 let exists ~exec n pred = not (for_all ~exec n (fun i -> not (pred i)))

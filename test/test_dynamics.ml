@@ -195,9 +195,9 @@ let test_stateless_evaluator_runs () =
    back to dense. *)
 let prop_backends_agree =
   QCheck.Test.make ~count:40 ~name:"incremental dynamics: backends agree"
-    QCheck.(pair small_nat (int_range 0 2))
+    QCheck.(pair small_nat (int_range 0 1))
     (fun (seed, backend_idx) ->
-      let spec = List.nth [ D.Tree; D.Rd; D.Mmap None ] backend_idx in
+      let spec = List.nth [ D.Tree; D.Rd ] backend_idx in
       let host, start = random_game (seed + 37) ~n:8 in
       (* Fresh scheduler rng per run: both sides draw the same stream. *)
       let go spec =

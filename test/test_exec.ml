@@ -40,7 +40,7 @@ let test_domain_count () =
   Alcotest.(check int) "explicit Par count" 4
     (Exec.domain_count (Exec.Par { domains = Some 4 }));
   Alcotest.(check int) "Par None follows the process default"
-    (Gncg_util.Parallel.default_domains ())
+    (Exec.default_domains ())
     (Exec.domain_count (Exec.Par { domains = None }))
 
 let test_combinators () =

@@ -18,7 +18,7 @@ let test_prng_guards () =
       Gncg_util.Prng.sample_without_replacement r 5 3)
 
 let test_parallel_guards () =
-  raises_invalid "negative size" (fun () -> Gncg_util.Parallel.init (-1) (fun i -> i))
+  raises_invalid "negative size" (fun () -> Gncg_util.Exec.init ~exec:Gncg_util.Exec.default (-1) (fun i -> i))
 
 (* --- mgraph ------------------------------------------------------------ *)
 

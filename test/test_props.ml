@@ -326,7 +326,7 @@ let parallel_corner_gen =
 
 let prop_parallel_init_matches_array (n, domains, seed) =
   let f i = (i * 31) lxor seed in
-  Gncg_util.Parallel.init ~domains n f = Array.init n f
+  Gncg_util.Exec.(init ~exec:(par ~domains ())) n f = Array.init n f
 
 let prop_parallel_quantifiers_match (n, domains, seed) =
   (* A predicate that is false on a pseudo-random subset (sometimes empty,
@@ -338,14 +338,16 @@ let prop_parallel_quantifiers_match (n, domains, seed) =
     seq_all := !seq_all && pred i;
     seq_any := !seq_any || pred i
   done;
-  Gncg_util.Parallel.for_all ~domains n pred = !seq_all
-  && Gncg_util.Parallel.exists ~domains n pred = !seq_any
+  let exec = Gncg_util.Exec.par ~domains () in
+  Gncg_util.Exec.for_all ~exec n pred = !seq_all
+  && Gncg_util.Exec.exists ~exec n pred = !seq_any
 
 let prop_parallel_vacuous (_, domains, _) =
   (* Quantifiers over the empty index space. *)
-  Gncg_util.Parallel.for_all ~domains 0 (fun _ -> false)
-  && (not (Gncg_util.Parallel.exists ~domains 0 (fun _ -> true)))
-  && Gncg_util.Parallel.init ~domains 0 (fun i -> i) = [||]
+  let exec = Gncg_util.Exec.par ~domains () in
+  Gncg_util.Exec.for_all ~exec 0 (fun _ -> false)
+  && (not (Gncg_util.Exec.exists ~exec 0 (fun _ -> true)))
+  && Gncg_util.Exec.init ~exec 0 (fun i -> i) = [||]
 
 let suites =
   [

@@ -52,7 +52,7 @@ while IFS= read -r f; do
 done < <(find lib -name '*.mli' | sort)
 
 # Implementation files: no new definitions outside a fence.  Call
-# sites referencing Parallel.* combinators or local helpers are fine.
+# sites referencing Exec.* combinators or local helpers are fine.
 while IFS= read -r f; do
   out="$(check_file "$f" '^[[:space:]]*(let|and)[[:space:]]+[a-z_]*_parallel\>')"
   if [ -n "$out" ]; then
