@@ -78,7 +78,8 @@ let e2_poa_onetwo_fig3 () =
           | C.Thm8_onetwo.Alpha_mid -> Gncg.Social_optimum.complete_host_cost host
         in
         let stable =
-          if nb <= 3 then string_of_bool (Gncg.Equilibrium.is_ge host ne) else "(assumed)"
+          Gncg.Equilibrium.Tracker.(
+            is_equilibrium (create GE (Gncg.Net_state.create host ne)))
         in
         rows :=
           [
@@ -87,7 +88,7 @@ let e2_poa_onetwo_fig3 () =
             string_of_int (C.Thm8_onetwo.size ~nb_centers:nb ~nb_leaves:nb);
             T.fl ~digits:4 (ne_cost /. opt_cost);
             T.fl ~digits:4 (C.Thm8_onetwo.expected_ratio_limit variant ~alpha);
-            stable;
+            string_of_bool stable;
           ]
           :: !rows)
       [ 2; 3; 5; 8; 12 ]

@@ -384,6 +384,34 @@ let test_spec_round_trip () =
           (Helpers.contains e "(auto | dense | tree | rd)"))
     [ "quantum"; "mmap"; "mmap:/tmp/x.bin" ]
 
+(* --- footprint: the implicit oracles never tabulate the n² matrix --- *)
+
+(* At n = 10⁴ a dense matrix costs 8n² = 800 MB; the tree (Euler
+   tour/LCA) and R² (points + k-d index) oracles must stay at least an
+   order of magnitude below that, and must actually be the oracle, not a
+   silent dense fallback. *)
+let test_oracle_footprint () =
+  let n = 10_000 in
+  let r = Prng.create 8 in
+  List.iter
+    (fun (expected_id, geometry) ->
+      let d = Geometry.to_distances geometry in
+      Alcotest.(check string) "oracle backend" expected_id (D.backend_id d);
+      let bytes = D.memory_bytes d in
+      Helpers.check_true
+        (Printf.sprintf "%s oracle: %d bytes is below 8n²/10" expected_id bytes)
+        (10 * bytes < 8 * n * n);
+      List.iter
+        (fun (u, v) ->
+          Helpers.check_true
+            (Printf.sprintf "%s reads (%d,%d) finite" expected_id u v)
+            (Float.is_finite (D.distance d u v) && Float.is_finite (D.dist_sum d u)))
+        [ (0, n - 1); (17, 4242); (n / 2, 3) ])
+    [
+      ("tree", Random_host.tree_geometry r ~n ~wmin:1.0 ~wmax:10.0);
+      ("rd", Random_host.euclidean_geometry r ~n ~d:2 ~lo:0.0 ~hi:100.0);
+    ]
+
 let suites =
   [
     ( "distances-backends",
@@ -406,6 +434,7 @@ let suites =
         Alcotest.test_case "nearest target via k-d index" `Quick test_nearest_target;
         Alcotest.test_case "oracles are read-only" `Quick test_oracles_are_read_only;
         Alcotest.test_case "spec round-trip" `Quick test_spec_round_trip;
+        Alcotest.test_case "oracle footprint at n=10^4" `Quick test_oracle_footprint;
       ] );
     ("distances-sentinel", sentinel_tests);
   ]

@@ -177,6 +177,32 @@ let prop_parallel_diameter_agrees seed =
   in
   Flt.approx_eq ~tol:1e-9 brute (Gncg_graph.Dijkstra.diameter ~domains:2 g)
 
+(* At the size of a real run (n=60, uniform metric, alpha=2) the
+   incremental engine lands on a greedy equilibrium exactly as good as
+   the reference engine's (tie-breaking may split the trajectories, so
+   the social costs are compared, not the profiles). *)
+let test_reference_incremental_n60 () =
+  let r = Prng.create 7 in
+  let host =
+    Gncg.Host.make ~alpha:2.0 (Gncg_metric.Random_host.uniform_metric r ~n:60 ~lo:1.0 ~hi:6.0)
+  in
+  let start = Gncg_workload.Instances.random_profile r host in
+  let converge evaluator =
+    match
+      Gncg.Dynamics.run
+        (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator Gncg.Dynamics.Greedy_response
+           Gncg.Dynamics.Round_robin)
+        host start
+    with
+    | Gncg.Dynamics.Converged { profile; _ } -> profile
+    | _ -> Alcotest.fail "greedy dynamics did not converge at n=60"
+  in
+  let reference = converge `Reference and incremental = converge `Incremental in
+  Helpers.check_true "incremental limit is a GE" (Gncg.Equilibrium.is_ge host incremental);
+  Helpers.check_float ~tol:1e-6 "same stable social cost"
+    (Gncg.Cost.social_cost host reference)
+    (Gncg.Cost.social_cost host incremental)
+
 let suites =
   [
     ( "incremental-engine",
@@ -192,5 +218,7 @@ let suites =
         qtest ~count:10 "parallel unhappy = sequential" seed_gen prop_parallel_unhappy_agree;
         qtest ~count:10 "parallel certify = sequential" seed_gen prop_parallel_certify_agree;
         qtest ~count:20 "parallel diameter identity" seed_gen prop_parallel_diameter_agrees;
+        Helpers.slow_case "reference = incremental dynamics at n=60"
+          test_reference_incremental_n60;
       ] );
   ]

@@ -204,6 +204,31 @@ let test_sssp_into_allocation () =
   check_true "sum is finite" (Float.is_finite !total);
   if per_call > 4.0 then Alcotest.failf "Flt.sum: %.1f minor words per call" per_call
 
+(* The streamed add kernels of the dense store read two rows and
+   allocate nothing but their boxed float result. *)
+let test_add_kernel_allocation () =
+  let r = rng 18 in
+  let n = 200 in
+  let d = Gncg_graph.Incr_apsp.of_graph (random_graph r n (3 * n)) in
+  let against = Array.init n (fun _ -> Prng.float r 10.0) in
+  let calls = 1000 in
+  List.iter
+    (fun (name, kernel) ->
+      let total = ref (kernel 0) in
+      let before = Gc.minor_words () in
+      for i = 1 to calls do
+        total := !total +. kernel i
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      check_true (name ^ " is finite") (Float.is_finite !total);
+      if per_call > 4.0 then Alcotest.failf "%s: %.1f minor words per call" name per_call)
+    [
+      ( "dist_sum_with_edge",
+        fun i -> Gncg_graph.Incr_apsp.dist_sum_with_edge d (i mod n) ((i * 7 + 1) mod n) 1.5 );
+      ( "min_sum_against",
+        fun i -> Gncg_graph.Incr_apsp.min_sum_against d against (i mod n) 1.5 );
+    ]
+
 let qtest ~count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
@@ -220,5 +245,6 @@ let suites =
         qtest ~count:200 "entry points bit-equal, = floyd-warshall" QCheck.small_nat
           prop_kernel_entry_points;
         case "sssp_into allocation-free" test_sssp_into_allocation;
+        case "add kernels allocation-free" test_add_kernel_allocation;
       ] );
   ]
