@@ -164,7 +164,7 @@ let e4_poa_tree_fig6 () =
           let ratio = engine_ratio host ne opt in
           let verified =
             if n <= 7 then string_of_bool (Gncg.Equilibrium.is_ne host ne)
-            else if n <= 64 then string_of_bool (Gncg.Equilibrium.is_ge host ne)
+            else if n <= 256 then string_of_bool (Gncg.Equilibrium.is_ge host ne)
             else "(formula)"
           in
           rows :=
@@ -178,7 +178,9 @@ let e4_poa_tree_fig6 () =
             :: !rows)
         [ 6; 16; 64; 256 ])
     [ 1.0; 2.0; 4.0; 8.0 ];
-  T.print ~header:[ "alpha"; "n"; "NE/OPT"; "(a+2)/2"; "NE verified" ] (List.rev !rows)
+  T.print
+    ~header:[ "alpha"; "n"; "NE/OPT"; "(a+2)/2"; "NE (n<=7) / GE verified" ]
+    (List.rev !rows)
 
 (* ------------------------------------------------------------------ E5 *)
 

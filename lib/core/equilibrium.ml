@@ -3,9 +3,8 @@ module Exec = Gncg_util.Exec
 
 type kind = NE | GE | AE
 
-(* One span around each stateless whole-profile scan: the only probe of
-   the CLI `check`/`construct` paths, which never touch the stateful
-   engines.  Disabled cost: two flag reads per scan. *)
+(* One span around each whole-profile scan (the CLI `check` and
+   `construct` paths).  Disabled cost: two flag reads per scan. *)
 let p_check = Gncg_obs.Span.probe "equilibrium.check"
 
 let kinds_of = function AE -> [ `Add ] | GE -> [ `Add; `Delete; `Swap ] | NE -> []
@@ -18,34 +17,51 @@ let best_deviation_cost ?(oracle = `Branch_and_bound) ?graph kind host s u =
     | `Enumerate -> snd (Best_response.exact_enum host s u))
   | GE | AE -> Greedy.best_single_move_cost ~kinds:(kinds_of kind) ?graph host s ~agent:u
 
-let agent_happy ?oracle kind host s u =
-  (* One network build shared by the incumbent cost and the move scan. *)
+(* NE: exact best responses, pure on the immutable host/profile. *)
+let ne_happy ?oracle host s u =
+  (* One network build shared by the incumbent cost and the oracle. *)
   let graph = Network.graph host s in
   let current = Cost.agent_cost ~graph host s u in
-  let best = best_deviation_cost ?oracle ~graph kind host s u in
-  Flt.le current best
+  Flt.le current (best_deviation_cost ?oracle ~graph NE host s u)
 
-(* The per-agent check is pure on immutable host/profile data, so under
-   [Par] agents fan out across domains; the boolean checks early-exit as
-   soon as any domain finds an unhappy agent. *)
+(* GE/AE: one read-only Net_state per scan, evaluated as the Tracker
+   does; Greedy.best_single_move_cost is the spec the tests compare it
+   against.  The Auto backend is exact on every host — the implicit oracles are
+   picked only where they apply — so a process-wide --dist-backend
+   tree/rd cannot make a scan raise.  Under [Par] every domain works on
+   its own copy: a what-if SSSP edits graph slots in place and reuses
+   the Dijkstra workspace. *)
+let state_per_domain host s =
+  let st = Net_state.create ~backend:Auto host s in
+  fun () -> Net_state.copy st
 
-let is_ae ?(exec = Exec.Seq) host s =
-  Gncg_obs.Span.with_probe p_check (fun () ->
-      Exec.for_all ~exec (Strategy.n s) (agent_happy AE host s))
+let best_single_move kind st u =
+  Fast_response.best_move_state ~kinds:(kinds_of kind) st ~agent:u
 
-let is_ge ?(exec = Exec.Seq) host s =
-  Gncg_obs.Span.with_probe p_check (fun () ->
-      Exec.for_all ~exec (Strategy.n s) (agent_happy GE host s))
+let single_move_happy kind st u = best_single_move kind st u = None
 
-let is_ne ?oracle ?(exec = Exec.Seq) host s =
-  Gncg_obs.Span.with_probe p_check (fun () ->
-      Exec.for_all ~exec (Strategy.n s) (agent_happy ?oracle NE host s))
-
-let is_equilibrium ?exec kind host s =
+let for_all_agents ?oracle ~exec kind host s =
+  Gncg_obs.Span.with_probe p_check @@ fun () ->
+  let n = Strategy.n s in
   match kind with
-  | AE -> is_ae ?exec host s
-  | GE -> is_ge ?exec host s
-  | NE -> is_ne ?exec host s
+  | NE -> Exec.for_all ~exec n (ne_happy ?oracle host s)
+  | GE | AE ->
+    Exec.for_all_local ~exec ~local:(state_per_domain host s) n (single_move_happy kind)
+
+(* Per-agent results of one scan, in agent order. *)
+let init_agents ~exec kind host s ~ne ~single =
+  let n = Strategy.n s in
+  match kind with
+  | NE -> Exec.init ~exec n (ne host s)
+  | GE | AE -> Exec.init_local ~exec ~local:(state_per_domain host s) n (single kind)
+
+let is_ae ?(exec = Exec.Seq) host s = for_all_agents ~exec AE host s
+
+let is_ge ?(exec = Exec.Seq) host s = for_all_agents ~exec GE host s
+
+let is_ne ?oracle ?(exec = Exec.Seq) host s = for_all_agents ?oracle ~exec NE host s
+
+let is_equilibrium ?(exec = Exec.Seq) kind host s = for_all_agents ~exec kind host s
 
 let agent_approx_factor kind host s u =
   let graph = Network.graph host s in
@@ -69,13 +85,10 @@ let is_beta kind ~beta host s =
 
 let unhappy_agents ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
-  let n = Strategy.n s in
-  match exec with
-  | Exec.Seq ->
-    List.filter (fun u -> not (agent_happy kind host s u)) (List.init n (fun u -> u))
-  | _ ->
-    let happy = Exec.init ~exec n (agent_happy kind host s) in
-    List.filter (fun u -> not happy.(u)) (List.init n (fun u -> u))
+  let happy =
+    init_agents ~exec kind host s ~ne:(fun host s -> ne_happy host s) ~single:single_move_happy
+  in
+  List.filter (fun u -> not happy.(u)) (List.init (Strategy.n s) Fun.id)
 
 type grievance = {
   agent : int;
@@ -84,22 +97,29 @@ type grievance = {
   deviation : Strategy.ISet.t option;
 }
 
-let agent_grievance kind host s u =
-  let graph = Network.graph host s in
-  let current = Cost.agent_cost ~graph host s u in
-  let best, deviation =
-    match kind with
-    | NE ->
-      let set, cost = Best_response.exact host s u in
-      (cost, Some set)
-    | GE | AE ->
-      (Greedy.best_single_move_cost ~kinds:(kinds_of kind) ~graph host s ~agent:u, None)
-  in
+let ne_grievance host s u =
+  let current = Cost.agent_cost host s u in
+  let set, best = Best_response.exact host s u in
   if Flt.lt best current then
-    Some { agent = u; current_cost = current; best_cost = best; deviation }
+    Some { agent = u; current_cost = current; best_cost = best; deviation = Some set }
   else None
 
-let verdict_of_grievances = function
+let single_move_grievance kind st u =
+  match best_single_move kind st u with
+  | None -> None
+  | Some (_, gain) ->
+    (* As in Greedy.best_single_move_cost, including its NaN for a move
+       that connects a disconnected agent (inf - inf). *)
+    let current = Net_state.agent_cost st u in
+    Some { agent = u; current_cost = current; best_cost = current -. gain; deviation = None }
+
+let certify ?(exec = Exec.Seq) kind host s =
+  Gncg_obs.Span.with_probe p_check @@ fun () ->
+  match
+    List.filter_map Fun.id
+      (Array.to_list
+         (init_agents ~exec kind host s ~ne:ne_grievance ~single:single_move_grievance))
+  with
   | [] -> Ok ()
   | gs ->
     Error
@@ -107,17 +127,6 @@ let verdict_of_grievances = function
          (fun a b ->
            Float.compare (b.current_cost -. b.best_cost) (a.current_cost -. a.best_cost))
          gs)
-
-let certify ?(exec = Exec.Seq) kind host s =
-  Gncg_obs.Span.with_probe p_check @@ fun () ->
-  let n = Strategy.n s in
-  match exec with
-  | Exec.Seq ->
-    verdict_of_grievances
-      (List.filter_map (agent_grievance kind host s) (List.init n (fun u -> u)))
-  | _ ->
-    let per_agent = Exec.init ~exec n (agent_grievance kind host s) in
-    verdict_of_grievances (List.filter_map Fun.id (Array.to_list per_agent))
 
 let pp_grievance fmt g =
   Format.fprintf fmt "agent %d pays %.4f but could pay %.4f" g.agent g.current_cost

@@ -10,11 +10,23 @@
 
 type kind = NE | GE | AE
 
-(** The boolean checks all take [?exec] (default [Exec.Seq]): under
-    [Par] the per-agent checks fan out across OCaml 5 domains with an
-    early exit once any domain finds an unhappy agent.  Same verdict as
-    the sequential scan (property-tested); only the set of agents
-    actually inspected on a negative answer differs. *)
+(** The whole-profile scans below decide [GE] and [AE] on one read-only
+    {!Net_state.t} built once per call, with
+    {!Fast_response.best_move_state} per agent (the evaluator
+    {!Tracker} uses); [NE] runs the exact best-response oracle per
+    agent.  {!Greedy.best_single_move_cost} is the spec of the
+    single-move kinds: the tests require the same verdicts, unhappy
+    lists and grievance costs as a scan built from it.  The state always
+    uses the [Auto] distance backend, which is exact on every host,
+    whatever {!Gncg_graph.Distances.default_spec} says.
+
+    The scans take [?exec] (default [Exec.Seq]): under [Par] agents fan
+    out across OCaml 5 domains, each working on its own
+    {!Net_state.copy} (a what-if SSSP edits the graph in place, so
+    domains never share a state), and the boolean checks exit early
+    once any domain finds an unhappy agent.  Same verdict as the
+    sequential scan (property-tested); only the set of agents actually
+    inspected on a negative answer differs. *)
 
 val is_ae : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> bool
 
@@ -59,7 +71,9 @@ val certify :
 (** [Ok ()] when the profile is an equilibrium of the kind; otherwise the
     per-agent evidence, sorted by decreasing improvement.  Powers the
     human-readable reports of the CLI.  Verdict and ordering are
-    independent of [exec]. *)
+    independent of [exec].  For [GE]/[AE], [best_cost] is
+    [current_cost] minus the best move's gain, NaN when that move
+    connects a disconnected agent (as in the spec). *)
 
 val pp_grievance : Format.formatter -> grievance -> unit
 

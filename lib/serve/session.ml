@@ -53,7 +53,7 @@ type t = {
   mutable draining : bool;
   mutable stopped : bool;
   mutable executors : Thread.t list;
-  started_at : float;
+  started_ns : float;  (* Gncg_obs.Clock: monotonic, only differences count *)
 }
 
 let rec mkdir_p dir =
@@ -359,7 +359,7 @@ let create ?(state_dir = "gncg-serve-state") ?domains ?budget ?retries
       draining = false;
       stopped = false;
       executors = [];
-      started_at = Unix.gettimeofday ();
+      started_ns = Gncg_obs.Clock.now_ns ();
     }
   in
   if trace_stream then install_trace_stream t;
@@ -491,6 +491,8 @@ let job_json r =
       ]
     | None -> [])
 
+let uptime t = (Gncg_obs.Clock.now_ns () -. t.started_ns) /. 1e9
+
 let status_json t which =
   Mutex.lock t.mutex;
   let result =
@@ -505,7 +507,7 @@ let status_json t which =
       Ok
         (Json.Obj
            [
-             ("uptime_s", Json.Num (Unix.gettimeofday () -. t.started_at));
+             ("uptime_s", Json.Num (uptime t));
              ("jobs", Json.List jobs);
              ("queued", Json.num_int (Queue.length t.queue));
              ( "running",
@@ -559,4 +561,3 @@ let workers t = match t.pool with Some pool -> Pool.size pool | None -> 0
 
 let hosts_cached t = Worker.Cache.size t.cache
 
-let uptime t = Unix.gettimeofday () -. t.started_at

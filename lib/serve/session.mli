@@ -117,3 +117,5 @@ val workers : t -> int
 val hosts_cached : t -> int
 
 val uptime : t -> float
+(** Seconds since {!create}, read on the monotonic {!Gncg_obs.Clock}:
+    a wall-clock step never moves it. *)

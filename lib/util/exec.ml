@@ -51,55 +51,49 @@ let domain_count = function
   | Par { domains = Some d } -> max 1 d
   | Par { domains = None } -> default_domains ()
 
-let init ~exec n f =
-  if n < 0 then invalid_arg "Exec.init";
-  let domains = min (domain_count exec) n in
-  if domains <= 1 then Array.init n f
+(* The one chunking loop behind every combinator: [0, n) splits into
+   at most [domain_count exec] contiguous non-empty chunks.  Chunk 0 runs
+   on the calling domain, every other chunk on a domain of its own, and
+   [local ()] is built once per chunk on the domain that runs it.
+   Returns the chunk results in index order (none when [n = 0]). *)
+let chunks ~exec ~local n body =
+  let domains = max 1 (min (domain_count exec) n) in
+  let chunk = max 1 ((n + domains - 1) / domains) in
+  let chunks = (n + chunk - 1) / chunk in
+  let run k () = body (local ()) (k * chunk) (min n ((k + 1) * chunk)) in
+  if chunks = 0 then []
   else begin
-    (* First cell computed on the main domain so the result array can be
-       allocated without an option layer. *)
-    let first = f 0 in
-    let result = Array.make n first in
-    let chunk = (n + domains - 1) / domains in
-    let worker k () =
-      let lo = max 1 (k * chunk) in
-      let hi = min n ((k + 1) * chunk) - 1 in
-      for i = lo to hi do
-        result.(i) <- f i
-      done
-    in
-    let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
-    List.iter Domain.join handles;
-    result
+    let handles = List.init (chunks - 1) (fun k -> Domain.spawn (run (k + 1))) in
+    (* Join the spawned domains even when chunk 0 raises. *)
+    let first = match run 0 () with r -> Ok r | exception e -> Error e in
+    let rest = List.map Domain.join handles in
+    match first with Ok r -> r :: rest | Error e -> raise e
   end
+
+let init_local ~exec ~local n f =
+  if n < 0 then invalid_arg "Exec.init";
+  match chunks ~exec ~local n (fun w lo hi -> Array.init (hi - lo) (fun i -> f w (lo + i))) with
+  | [ a ] -> a
+  | parts -> Array.concat parts
+
+let init ~exec n f = init_local ~exec ~local:ignore n (fun () i -> f i)
 
 let map_array ~exec f a = init ~exec (Array.length a) (fun i -> f a.(i))
 
-let for_all ~exec n pred =
+let for_all_local ~exec ~local n pred =
   if n < 0 then invalid_arg "Exec.for_all";
-  let domains = min (domain_count exec) n in
-  if domains <= 1 then begin
-    let rec go i = i >= n || (pred i && go (i + 1)) in
-    go 0
-  end
-  else begin
-    (* Early exit: a counterexample found by any domain stops the
-       others at their next index. *)
-    let failed = Atomic.make false in
-    let chunk = (n + domains - 1) / domains in
-    let worker k () =
-      let lo = k * chunk in
-      let hi = min n ((k + 1) * chunk) - 1 in
-      let i = ref lo in
-      while (not (Atomic.get failed)) && !i <= hi do
-        if not (pred !i) then Atomic.set failed true;
-        incr i
-      done
-    in
-    let handles = List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    worker 0 ();
-    List.iter Domain.join handles;
-    not (Atomic.get failed)
-  end
+  (* Early exit: a counterexample found by any domain stops the others
+     at their next index. *)
+  let failed = Atomic.make false in
+  ignore
+    (chunks ~exec ~local n (fun w lo hi ->
+         let i = ref lo in
+         while (not (Atomic.get failed)) && !i < hi do
+           if not (pred w !i) then Atomic.set failed true;
+           incr i
+         done));
+  not (Atomic.get failed)
+
+let for_all ~exec n pred = for_all_local ~exec ~local:ignore n (fun () i -> pred i)
 
 let exists ~exec n pred = not (for_all ~exec n (fun i -> not (pred i)))

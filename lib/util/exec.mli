@@ -75,3 +75,19 @@ val for_all : exec:t -> int -> (int -> bool) -> bool
 
 val exists : exec:t -> int -> (int -> bool) -> bool
 (** Dual of {!for_all}. *)
+
+(** {1 Per-domain workspaces}
+
+    For scans whose per-index work needs mutable scratch state that must
+    not be shared across domains.  [local ()] is built once on every
+    domain that takes a chunk — the calling domain included, so exactly
+    once under [Seq] — and never when [n = 0]; [f] receives the
+    workspace of the domain it runs on.  [local] itself may run
+    concurrently on several domains, so it may only read what it
+    shares. *)
+
+val init_local : exec:t -> local:(unit -> 'w) -> int -> ('w -> int -> 'a) -> 'a array
+(** {!init} with a per-domain workspace. *)
+
+val for_all_local : exec:t -> local:(unit -> 'w) -> int -> ('w -> int -> bool) -> bool
+(** {!for_all} with a per-domain workspace; same early exit. *)

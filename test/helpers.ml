@@ -39,3 +39,24 @@ let random_graph ?(wmin = 1.0) ?(wmax = 10.0) r n extra =
     end
   done;
   g
+
+(* The Reference single-move scan: the spec the equilibrium scans are
+   differential-tested against.  Per agent, one network build for the
+   incumbent cost ([Cost.agent_cost]) and [Greedy.best_single_move_cost],
+   which rebuilds the network and runs a fresh Dijkstra per candidate. *)
+let reference_kinds = function
+  | Gncg.Equilibrium.AE -> [ `Add ]
+  | Gncg.Equilibrium.GE -> [ `Add; `Delete; `Swap ]
+  | Gncg.Equilibrium.NE -> invalid_arg "reference_kinds: NE has no single-move spec"
+
+let reference_costs kind host s u =
+  let graph = Gncg.Network.graph host s in
+  ( Gncg.Cost.agent_cost ~graph host s u,
+    Gncg.Greedy.best_single_move_cost ~kinds:(reference_kinds kind) ~graph host s ~agent:u )
+
+let reference_happy kind host s u =
+  let current, best = reference_costs kind host s u in
+  Gncg_util.Flt.le current best
+
+let reference_unhappy kind host s =
+  List.filter (fun u -> not (reference_happy kind host s u)) (List.init (Gncg.Strategy.n s) Fun.id)

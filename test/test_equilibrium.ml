@@ -211,6 +211,213 @@ let test_oracle_consistency () =
       (Eq.is_ne ~oracle:`Enumerate host s)
   done
 
+(* --- the state-backed scans against the Reference spec --- *)
+
+module Exec = Gncg_util.Exec
+module Instances = Gncg_workload.Instances
+module C = Gncg_constructions
+
+let kind_name = function Eq.AE -> "AE" | Eq.GE -> "GE" | Eq.NE -> "NE"
+
+(* Every single-move entry point, under Seq and three domains, must
+   reproduce the Reference verdicts: the boolean checks, the unhappy
+   list, and certify's agents with the spec's costs.  Returns how many
+   of the (kind, profile) pairs were stable, so callers can require
+   that both verdicts were exercised. *)
+let agree_with_reference label host s =
+  List.fold_left
+    (fun stable kind ->
+      let expected = reference_unhappy kind host s in
+      List.iter
+        (fun exec ->
+          let name what =
+            Printf.sprintf "%s: %s %s under %s" label (kind_name kind) what (Exec.to_string exec)
+          in
+          let is_kind = match kind with Eq.AE -> Eq.is_ae | _ -> Eq.is_ge in
+          Alcotest.(check bool) (name "is_ae/is_ge") (expected = []) (is_kind ~exec host s);
+          Alcotest.(check bool) (name "is_equilibrium") (expected = [])
+            (Eq.is_equilibrium ~exec kind host s);
+          Alcotest.(check (list int)) (name "unhappy_agents") expected
+            (Eq.unhappy_agents ~exec kind host s);
+          let grievances = match Eq.certify ~exec kind host s with Ok () -> [] | Error gs -> gs in
+          Alcotest.(check (list int)) (name "certify agents") expected
+            (List.sort compare (List.map (fun (g : Eq.grievance) -> g.Eq.agent) grievances));
+          List.iter
+            (fun (g : Eq.grievance) ->
+              let current, best = reference_costs kind host s g.Eq.agent in
+              check_float (name "current cost") current g.Eq.current_cost;
+              (* The spec's best cost is NaN (inf - inf) for a move that
+                 connects a disconnected agent. *)
+              if not (Float.is_nan best && Float.is_nan g.Eq.best_cost) then
+                check_float (name "best cost") best g.Eq.best_cost)
+            grievances)
+        [ Exec.Seq; Exec.Par { domains = Some 3 } ];
+      if expected = [] then stable + 1 else stable)
+    0 [ Eq.AE; Eq.GE ]
+
+(* Each owned edge sold with probability 1/2: often disconnected. *)
+let thinned r s =
+  List.fold_left
+    (fun s (u, v) -> if Prng.bool r then Strategy.sell s u v else s)
+    s (Strategy.owned_edges s)
+
+let converged host start rule =
+  match
+    Gncg.Dynamics.run
+      (Gncg.Dynamics.Config.make ~max_steps:3000 ~evaluator:`Incremental rule
+         Gncg.Dynamics.Round_robin)
+      host start
+  with
+  | Gncg.Dynamics.Converged { profile; _ } -> [ profile ]
+  | _ -> []
+
+let test_spec_random_hosts () =
+  let r = rng 1701 in
+  let stable = ref 0 and checked = ref 0 and disconnected = ref 0 in
+  List.iter
+    (fun model ->
+      for _ = 1 to 3 do
+        let n = 5 + Prng.int r 8 in
+        let alpha = 0.5 +. Prng.float r 4.0 in
+        let host = Instances.random_host r model ~n ~alpha in
+        let start = Instances.random_profile r host in
+        List.iter
+          (fun s ->
+            if not (Float.is_finite (Gncg.Cost.social_cost host s)) then incr disconnected;
+            let label = Printf.sprintf "%s n=%d" (Instances.model_name model) n in
+            stable := !stable + agree_with_reference label host s;
+            checked := !checked + 2)
+          ([ start; thinned r start; Instances.empty_profile host ]
+          @ converged host start Gncg.Dynamics.Greedy_response
+          @ converged host start Gncg.Dynamics.Add_only)
+      done)
+    Instances.default_models;
+  check_true "some verdicts stable" (!stable > 0);
+  check_true "some verdicts unstable" (!stable < !checked);
+  check_true "some profiles disconnected" (!disconnected > 0)
+
+(* Sells the first owned edge: an unstable neighbour of the profile. *)
+let perturbed s =
+  match Strategy.owned_edges s with (u, v) :: _ -> Strategy.sell s u v | [] -> s
+
+let test_spec_constructions () =
+  let cases =
+    [
+      ( "Thm 8 (alpha=1)",
+        C.Thm8_onetwo.host Alpha_one ~alpha:1.0 ~nb_centers:3 ~nb_leaves:3,
+        C.Thm8_onetwo.ne_profile Alpha_one ~nb_centers:3 ~nb_leaves:3 );
+      ( "Thm 8 (alpha=0.75)",
+        C.Thm8_onetwo.host Alpha_mid ~alpha:0.75 ~nb_centers:3 ~nb_leaves:2,
+        C.Thm8_onetwo.ne_profile Alpha_mid ~nb_centers:3 ~nb_leaves:2 );
+      ( "Thm 15 tree star",
+        C.Thm15_tree_star.host ~alpha:3.0 ~n:9,
+        C.Thm15_tree_star.ne_profile ~alpha:3.0 ~n:9 );
+      ( "Lemma 8 path",
+        C.Lemma8_path.host ~alpha:2.0 ~n:8,
+        C.Lemma8_path.ne_profile ~alpha:2.0 ~n:8 );
+      ( "Thm 19 cross",
+        C.Thm19_cross.host ~alpha:2.0 ~d:2,
+        C.Thm19_cross.ne_profile ~alpha:2.0 ~d:2 );
+    ]
+    @
+    let alpha = 2.0 in
+    match C.Thm20_cycle.ne_profile ~alpha with
+    | Some s -> [ ("Thm 20 cycle", C.Thm20_cycle.host ~alpha, s) ]
+    | None -> Alcotest.fail "Thm 20 has an NE profile at alpha=2"
+  in
+  List.iter
+    (fun (label, host, s) ->
+      Alcotest.(check int) (label ^ ": the NE is AE and GE") 2 (agree_with_reference label host s);
+      ignore (agree_with_reference (label ^ ", one edge sold") host (perturbed s));
+      ignore
+        (agree_with_reference (label ^ ", random profile") host
+           (Instances.random_profile (rng (Host.n host)) host)))
+    cases
+
+(* Hosts on which the Auto state picks an implicit oracle: the network is
+   the host's tree, or complete over point-set geometry. *)
+let test_spec_oracle_backends () =
+  let r = rng 1703 in
+  let complete n =
+    Strategy.of_lists n (List.init n (fun u -> (u, List.init (n - u - 1) (fun k -> u + k + 1))))
+  in
+  let host_tree host =
+    match Host.geometry host with
+    | Some (Gncg_metric.Geometry.Tree tr) ->
+      Strategy.of_graph_arbitrary_owners (Gncg_metric.Tree_metric.graph tr)
+    | _ -> Alcotest.fail "tree model hosts carry their tree"
+  in
+  List.iter
+    (fun (model, profile_of, backend) ->
+      for _ = 1 to 3 do
+        let n = 5 + Prng.int r 8 in
+        let alpha = 0.5 +. Prng.float r 4.0 in
+        let host = Instances.random_host r model ~n ~alpha in
+        let s = profile_of host in
+        Alcotest.(check string) "Auto picks the oracle" backend
+          (Gncg.Net_state.backend_id (Gncg.Net_state.create ~backend:Auto host s));
+        let label = Printf.sprintf "%s oracle n=%d" backend n in
+        ignore (agree_with_reference label host s);
+        ignore (agree_with_reference (label ^ ", one edge sold") host (perturbed s))
+      done)
+    [
+      (Instances.Tree { wmin = 1.0; wmax = 10.0 }, host_tree, "tree");
+      ( Instances.Euclid { norm = Gncg_metric.Euclidean.L2; d = 2; box = 10.0 },
+        (fun host -> complete (Host.n host)),
+        "rd" );
+    ]
+
+let test_spec_tiny () =
+  List.iter
+    (fun n ->
+      let host = unit_host ~alpha:2.0 n in
+      let profiles =
+        Strategy.empty n
+        ::
+        (if n = 2 then
+           [ Strategy.of_lists 2 [ (0, [ 1 ]) ]; Strategy.of_lists 2 [ (0, [ 1 ]); (1, [ 0 ]) ] ]
+         else [])
+      in
+      List.iter (fun s -> ignore (agree_with_reference (Printf.sprintf "n=%d" n) host s)) profiles;
+      (* The model generators need at least one agent. *)
+      if n > 0 then
+        List.iter
+          (fun model ->
+            let host = Instances.random_host (rng n) model ~n ~alpha:1.0 in
+            let label = Printf.sprintf "%s n=%d" (Instances.model_name model) n in
+            ignore (agree_with_reference label host (Instances.empty_profile host));
+            ignore (agree_with_reference label host (Instances.random_profile (rng n) host)))
+          Instances.default_models)
+    [ 0; 1; 2 ]
+
+(* At alpha = 1, buying or swapping to the 1 - 1e-12 edge gains about
+   1e-12, below Flt.eps: the spec calls that no improvement, and so must
+   the scans (the engine tolerance, not float noise, decides near ties). *)
+let test_spec_near_tie () =
+  let m = Metric.make 3 (fun u v -> if u + v = 3 then 1.0 -. 1e-12 else 1.0) in
+  let host = Host.make ~alpha:1.0 m in
+  let s = Strategy.of_lists 3 [ (1, [ 0 ]); (2, [ 0 ]) ] in
+  Alcotest.(check int) "stable within the tolerance" 2 (agree_with_reference "near tie" host s)
+
+(* The scans build their state with the Auto backend, so a process-wide
+   tree/rd default (the CLI's --dist-backend) neither raises on a
+   non-tree, non-complete network nor changes a verdict. *)
+let test_scan_ignores_default_backend () =
+  let module D = Gncg_graph.Distances in
+  let host = C.Thm8_onetwo.host Alpha_one ~alpha:1.0 ~nb_centers:3 ~nb_leaves:3 in
+  let ne = C.Thm8_onetwo.ne_profile Alpha_one ~nb_centers:3 ~nb_leaves:3 in
+  let saved = D.default_spec () in
+  Fun.protect
+    ~finally:(fun () -> D.set_default_spec saved)
+    (fun () ->
+      List.iter
+        (fun spec ->
+          D.set_default_spec spec;
+          let label = "Thm 8 under default " ^ D.spec_to_string spec in
+          Alcotest.(check int) (label ^ ": AE and GE") 2 (agree_with_reference label host ne);
+          ignore (agree_with_reference (label ^ ", one edge sold") host (perturbed ne)))
+        [ D.Tree; D.Rd ])
+
 let suites =
   [
     ( "equilibrium",
@@ -230,5 +437,14 @@ let suites =
         case "Thm 3: GE is 3-NE" test_thm3_ge_is_3ne;
         case "NE oracle consistency" test_oracle_consistency;
         case "certify evidence" test_certify;
+      ] );
+    ( "equilibrium.spec",
+      [
+        case "random hosts = Reference" test_spec_random_hosts;
+        case "paper constructions = Reference" test_spec_constructions;
+        case "tree/rd oracle states = Reference" test_spec_oracle_backends;
+        case "n = 0, 1, 2 = Reference" test_spec_tiny;
+        case "near ties = Reference" test_spec_near_tie;
+        case "default tree/rd spec ignored" test_scan_ignores_default_backend;
       ] );
   ]

@@ -57,6 +57,39 @@ let test_combinators () =
         = Array.exists (fun x -> x = 10) (Array.init n f)))
     [ Exec.Seq; Exec.Par { domains = Some 3 } ]
 
+(* The per-domain workspace forms: one workspace per chunk, built on the
+   domain that runs the chunk and used only there, none for an empty
+   index space, and the same results as the plain combinators. *)
+let test_local_workspaces () =
+  let n = 103 in
+  let f i = (i * 37) mod 11 in
+  List.iter
+    (fun exec ->
+      let name what = Printf.sprintf "%s under %s" what (Exec.to_string exec) in
+      let built = Atomic.make 0 in
+      let local () =
+        Atomic.incr built;
+        Domain.self ()
+      in
+      let on_own_domain owner = owner = Domain.self () in
+      Alcotest.(check bool) (name "init_local = Array.init") true
+        (Exec.init_local ~exec ~local n (fun owner i ->
+             if on_own_domain owner then f i else -1)
+        = Array.init n f);
+      let workspaces = Atomic.get built in
+      Alcotest.(check bool) (name "one workspace per domain") true
+        (workspaces >= 1 && workspaces <= Exec.domain_count exec);
+      Alcotest.(check bool) (name "for_all_local holds") true
+        (Exec.for_all_local ~exec ~local n (fun owner i -> on_own_domain owner && f i < 11));
+      Alcotest.(check bool) (name "for_all_local finds the counterexample") false
+        (Exec.for_all_local ~exec ~local n (fun _ i -> f i <> 10));
+      Atomic.set built 0;
+      Alcotest.(check bool) (name "empty index space") true
+        (Exec.init_local ~exec ~local 0 (fun _ i -> i) = [||]
+        && Exec.for_all_local ~exec ~local 0 (fun _ _ -> false));
+      Alcotest.(check int) (name "no workspace for n = 0") 0 (Atomic.get built))
+    [ Exec.Seq; Exec.Par { domains = Some 3 } ]
+
 (* Seq and Par must agree on every boolean/structural verdict (float
    sums may differ in the last ulps, hence the tolerance on costs). *)
 let prop_seq_par_agree =
@@ -130,6 +163,7 @@ let suites =
         Alcotest.test_case "of_string / to_string" `Quick test_of_string;
         Alcotest.test_case "domain_count" `Quick test_domain_count;
         Alcotest.test_case "combinators vs sequential" `Quick test_combinators;
+        Alcotest.test_case "per-domain workspaces" `Quick test_local_workspaces;
       ]
       @ [
           QCheck_alcotest.to_alcotest prop_seq_par_agree;

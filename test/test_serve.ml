@@ -274,6 +274,23 @@ let test_session_eq_check () =
   Alcotest.(check int) "no duplicate host construction" 1 (Session.hosts_cached session);
   Session.drain session
 
+(* Uptime is read on Gncg_obs.Clock, not the wall clock: under an
+   injected clock it is exactly the injected advance, in the accessor
+   and in the status gauges alike. *)
+let test_session_uptime_monotonic () =
+  let now = ref 5e9 in
+  Gncg_obs.Clock.set (Some (fun () -> !now));
+  Fun.protect
+    ~finally:(fun () -> Gncg_obs.Clock.set None)
+    (fun () ->
+      let session = Session.create ~state_dir:(tmp_dir ()) ~domains:1 () in
+      now := !now +. 2.5e9;
+      check_float ~tol:1e-9 "uptime" 2.5 (Session.uptime session);
+      let status = ok_exn "status" (Session.status_json session None) in
+      check_float ~tol:1e-9 "status uptime_s" 2.5
+        (Result.get_ok (Result.bind (Json.member "uptime_s" status) Json.get_float));
+      Session.drain session)
+
 let test_session_sweep_matches_batch () =
   let session = Session.create ~state_dir:(tmp_dir ()) ~domains:2 () in
   let id, events = submit_and_finish session sweep_job in
@@ -703,6 +720,7 @@ let suites =
         case "submit validation and drain" test_session_validation;
         case "cancel queued jobs" test_session_cancel;
         slow_case "concurrent sessions" test_concurrent_sessions;
+        case "uptime on the monotonic clock" test_session_uptime_monotonic;
       ] );
     ( "serve-crash",
       [
