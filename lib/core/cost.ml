@@ -54,9 +54,14 @@ let social_cost ?(exec = Gncg_util.Exec.Seq) host s =
     Flt.sum per_agent
 
 let network_parts host g =
+  (* One workspace and one row for all n sources: the per-row sums are
+     the same Flt.sum over the same distances, added in source order. *)
+  let n = Gncg_graph.Wgraph.n g in
+  let ws = Gncg_graph.Dijkstra.workspace n and row = Array.make n Float.infinity in
   let dist = ref 0.0 in
-  for u = 0 to Gncg_graph.Wgraph.n g - 1 do
-    dist := !dist +. Flt.sum (Gncg_graph.Dijkstra.sssp g u)
+  for u = 0 to n - 1 do
+    Gncg_graph.Dijkstra.sssp_into ws g u row;
+    dist := !dist +. Flt.sum row
   done;
   { edge = Host.alpha host *. Gncg_graph.Wgraph.total_weight g; dist = !dist }
 

@@ -38,3 +38,6 @@ val network_social_cost : ?exec:Gncg_util.Exec.t -> Host.t -> Gncg_graph.Wgraph.
     [α · Σ_e w(e) + Σ_u Σ_v d(u,v)].  Defaults to [Exec.Seq]. *)
 
 val network_parts : Host.t -> Gncg_graph.Wgraph.t -> parts
+(** The two terms of {!network_social_cost}; the distance term is the
+    sum of the per-source [Flt.sum] rows in source order, computed with
+    one Dijkstra workspace and one row for the whole pass. *)

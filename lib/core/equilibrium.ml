@@ -107,11 +107,14 @@ let ne_grievance host s u =
 let single_move_grievance kind st u =
   match best_single_move kind st u with
   | None -> None
-  | Some (_, gain) ->
-    (* As in Greedy.best_single_move_cost, including its NaN for a move
-       that connects a disconnected agent (inf - inf). *)
+  | Some best ->
+    (* As in Greedy.best_single_move_cost, also for a move that connects
+       a disconnected agent. *)
     let current = Net_state.agent_cost st u in
-    Some { agent = u; current_cost = current; best_cost = current -. gain; deviation = None }
+    let best_cost =
+      Greedy.cost_after_move (Net_state.host st) (Net_state.profile st) ~agent:u ~current best
+    in
+    Some { agent = u; current_cost = current; best_cost; deviation = None }
 
 let certify ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->

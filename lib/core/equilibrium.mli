@@ -71,9 +71,10 @@ val certify :
 (** [Ok ()] when the profile is an equilibrium of the kind; otherwise the
     per-agent evidence, sorted by decreasing improvement.  Powers the
     human-readable reports of the CLI.  Verdict and ordering are
-    independent of [exec].  For [GE]/[AE], [best_cost] is
-    [current_cost] minus the best move's gain, NaN when that move
-    connects a disconnected agent (as in the spec). *)
+    independent of [exec].  For [GE]/[AE], [best_cost] is the agent's
+    cost after the best move ({!Greedy.cost_after_move}): finite when
+    that move connects a disconnected agent, whose improvement is then
+    infinite. *)
 
 val pp_grievance : Format.formatter -> grievance -> unit
 

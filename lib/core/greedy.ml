@@ -28,9 +28,16 @@ let best_move ?kinds ?graph host s ~agent =
   in
   fold_moves ?kinds ?graph host s ~agent pick None
 
+(* [current -. gain] everywhere except on a move that connects a
+   disconnected agent: there both are infinite (inf - inf is NaN), so the
+   cost after the move is computed outright. *)
+let cost_after_move host s ~agent ~current (mv, gain) =
+  if Float.is_finite gain then current -. gain
+  else Cost.agent_cost host (Move.apply s ~agent mv) agent
+
 let best_single_move_cost ?kinds ?graph host s ~agent =
   let graph = match graph with Some g -> g | None -> Network.graph host s in
   let current = Cost.agent_cost ~graph host s agent in
   match best_move ?kinds ~graph host s ~agent with
   | None -> current
-  | Some (_, gain) -> current -. gain
+  | Some best -> cost_after_move host s ~agent ~current best

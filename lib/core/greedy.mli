@@ -29,4 +29,14 @@ val best_single_move_cost :
   agent:int ->
   float
 (** The lowest cost the agent can reach with at most one single-edge move
-    (her current cost when nothing improves). *)
+    (her current cost when nothing improves).  Finite whenever the best
+    move connects the agent to everyone, also for an agent that is
+    disconnected now. *)
+
+val cost_after_move :
+  Host.t -> Strategy.t -> agent:int -> current:float -> Move.t * float -> float
+(** [cost_after_move host s ~agent ~current (mv, gain)]: the agent's cost
+    after the improving move [mv] of gain [gain], given her [current]
+    cost.  That is [current -. gain], except for a move that connects a
+    disconnected agent (infinite gain), whose cost after is computed
+    from the moved profile. *)

@@ -70,40 +70,88 @@ let tree_optimum tree host =
   (g, Cost.network_social_cost host g)
 
 let greedy_heuristic host =
+  let module Dm = Gncg_graph.Dist_matrix in
   let n = Host.n host in
   let alpha = Host.alpha host in
   let g =
     Wgraph.of_edges n (Gncg_graph.Mst.prim_complete n (fun u v -> Host.weight host u v))
   in
-  (* Best improving addition w.r.t. the given distance matrix (steepest). *)
-  let best_addition dm current edge_weight_total =
+  (* The network's distances: updated per insertion in phase 1, rebuilt
+     in place at each iteration of phase 2. *)
+  let dm = Dm.of_graph g in
+  (* Rounding in the matrix entries (each a float sum along a path of at
+     most n hops) and in the Kahan totals stays far below this share of
+     the cost, so a pruned candidate's computed delta is never below
+     [alpha w - bound - slack]. *)
+  let slack_share = 1e-12 *. float_of_int (n * n) in
+  (* Best improving addition w.r.t. [dm] (steepest).
+     A candidate that cannot shorten any distance ([w >= d(u,v)]) costs
+     the matrix total as it is; one that can is skipped when even the
+     O(n) [Dm.addition_bound] on its gain cannot beat the incumbent, so
+     only the survivors pay the O(n²) what-if total.  The pick is the
+     one the full scan makes: a skipped candidate could never pass the
+     [delta < best_delta - eps] test. *)
+  let best_addition current edge_weight_total =
+    let base_total = Dm.total dm in
+    let prunable = Float.is_finite current in
     let best_delta = ref 0.0 and best = ref None in
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
         let w = Host.weight host u v in
         if Float.is_finite w && not (Wgraph.has_edge g u v) then begin
-          let c =
-            (alpha *. (edge_weight_total +. w))
-            +. Gncg_graph.Dist_matrix.total_with_edge_added dm u v w
+          let improving = w < Dm.distance dm u v in
+          let pruned =
+            improving && prunable
+            && (alpha *. w) -. Dm.addition_bound dm u v w
+               -. (slack_share *. (current +. (alpha *. w)))
+               >= !best_delta -. Flt.eps
           in
-          let delta = c -. current in
-          if delta < !best_delta -. Flt.eps then begin
-            best_delta := delta;
-            best := Some (u, v, w)
+          if not pruned then begin
+            let total = if improving then Dm.total_with_edge_added dm u v w else base_total in
+            let c = (alpha *. (edge_weight_total +. w)) +. total in
+            let delta = c -. current in
+            if delta < !best_delta -. Flt.eps then begin
+              best_delta := delta;
+              best := Some (u, v, w)
+            end
           end
         end
       done
     done;
     !best
   in
+  (* Social cost of [g] without its edge (u,v) of weight [w], equal bit
+     for bit to [Cost.network_social_cost] on the edited graph: only the
+     rows on which the edge is tight are recomputed, every other row's
+     sum is the phase matrix's ([row_totals]), and the rows are added in
+     source order.  The edge is removed and re-added, which moves it to
+     the end of both endpoints' slots; later Dijkstra tie order and the
+     [total_weight] summation depend on that order, so the sequence of
+     edits is part of the result. *)
+  let ws = Gncg_graph.Dijkstra.workspace n and row = Array.make n Float.infinity in
+  let row_totals = Array.make n 0.0 in
+  let cost_without u v w =
+    Wgraph.remove_edge g u v;
+    let dist = ref 0.0 in
+    for s = 0 to n - 1 do
+      let sum =
+        if Gncg_graph.Dijkstra.tight (Dm.distance dm s u) (Dm.distance dm s v) w then begin
+          Gncg_graph.Dijkstra.sssp_into ws g s row;
+          Flt.sum row
+        end
+        else row_totals.(s)
+      in
+      dist := !dist +. sum
+    done;
+    let c = (alpha *. Wgraph.total_weight g) +. !dist in
+    Wgraph.add_edge g u v w;
+    c
+  in
   let best_removal current =
     let best_delta = ref 0.0 and best = ref None in
     List.iter
       (fun (u, v, w) ->
-        Wgraph.remove_edge g u v;
-        let c = Cost.network_social_cost host g in
-        Wgraph.add_edge g u v w;
-        let delta = c -. current in
+        let delta = cost_without u v w -. current in
         if delta < !best_delta -. Flt.eps then begin
           best_delta := delta;
           best := Some (u, v)
@@ -114,46 +162,45 @@ let greedy_heuristic host =
   (* Phase 1 — additions only, the bulk of the walk from the MST: the
      distance matrix is maintained incrementally (one exact O(n^2) update
      per applied edge), so no shortest-path recomputation is needed. *)
-  let dm = ref (Gncg_graph.Dist_matrix.of_graph g) in
   let weight_total = ref (Wgraph.total_weight g) in
-  let current = ref ((alpha *. !weight_total) +. Gncg_graph.Dist_matrix.total !dm) in
+  let current = ref ((alpha *. !weight_total) +. Dm.total dm) in
   let adding = ref true in
   while !adding do
-    match best_addition !dm !current !weight_total with
+    match best_addition !current !weight_total with
     | Some (u, v, w) ->
       Wgraph.add_edge g u v w;
-      Gncg_graph.Dist_matrix.add_edge !dm u v w;
+      Dm.add_edge dm u v w;
       weight_total := !weight_total +. w;
-      current := (alpha *. !weight_total) +. Gncg_graph.Dist_matrix.total !dm
+      current := (alpha *. !weight_total) +. Dm.total dm
     | None -> adding := false
   done;
   (* Phase 2 — full steepest descent over additions and removals; usually
      only a handful of iterations remain.  The final state is a local
-     optimum of the complete single-edge neighbourhood. *)
+     optimum of the complete single-edge neighbourhood.  Each iteration
+     rebuilds the matrix in place by Dijkstra, so its row sums are the
+     network cost's. *)
   let improved = ref true in
   while !improved do
     improved := false;
-    let dm = Gncg_graph.Dist_matrix.of_graph g in
-    let current = Cost.network_social_cost host g in
-    let add = best_addition dm current (Wgraph.total_weight g) in
+    Dm.recompute dm g;
+    let dist = ref 0.0 in
+    for s = 0 to n - 1 do
+      row_totals.(s) <- Dm.row_total dm s;
+      dist := !dist +. row_totals.(s)
+    done;
+    let current = (alpha *. Wgraph.total_weight g) +. !dist in
+    let add = best_addition current (Wgraph.total_weight g) in
     let remove = best_removal current in
     let delta_of_add =
       match add with
       | None -> 0.0
       | Some (u, v, w) ->
-        (alpha *. (Wgraph.total_weight g +. w))
-        +. Gncg_graph.Dist_matrix.total_with_edge_added dm u v w
-        -. current
+        (alpha *. (Wgraph.total_weight g +. w)) +. Dm.total_with_edge_added dm u v w -. current
     in
     let delta_of_remove =
       match remove with
       | None -> 0.0
-      | Some (u, v) ->
-        let w = Option.get (Wgraph.weight g u v) in
-        Wgraph.remove_edge g u v;
-        let c = Cost.network_social_cost host g in
-        Wgraph.add_edge g u v w;
-        c -. current
+      | Some (u, v) -> cost_without u v (Option.get (Wgraph.weight g u v)) -. current
     in
     match (add, remove) with
     | Some (u, v, w), _ when delta_of_add <= delta_of_remove ->
@@ -168,13 +215,6 @@ let greedy_heuristic host =
     | _ -> ()
   done;
   (g, Cost.network_social_cost host g)
-
-let dist_total g =
-  let acc = ref 0.0 in
-  for u = 0 to Wgraph.n g - 1 do
-    acc := !acc +. Flt.sum (Gncg_graph.Dijkstra.sssp g u)
-  done;
-  !acc
 
 let exact_bnb ?(max_edges = 28) host =
   let pairs = Array.of_list (finite_pairs host) in
@@ -205,7 +245,7 @@ let exact_bnb ?(max_edges = 28) host =
   let best_cost = ref warm in
   let rec go idx in_weight =
     (* Candidate: take every undecided edge. *)
-    let dist = dist_total g in
+    let dist = (Cost.network_parts host g).dist in
     let take_all = (alpha *. (in_weight +. suffix_weight.(idx))) +. dist in
     if take_all < !best_cost -. Flt.eps then begin
       best_cost := take_all;

@@ -29,8 +29,22 @@ val tree_optimum : Gncg_metric.Tree_metric.tree -> Host.t -> Gncg_graph.Wgraph.t
 
 val greedy_heuristic : Host.t -> Gncg_graph.Wgraph.t * float
 (** MST seed, then steepest local search over single-edge additions and
-    deletions of the network.  Additions are evaluated through the exact
-    distance-matrix insertion update (O(n²) per candidate). *)
+    deletions of the network.  Only candidates that can win are
+    evaluated in full:
+    - an addition that shortens no distance ([w >= d(u,v)]) costs the
+      matrix total, computed once per scan;
+    - an addition is skipped when
+      [α·w - Dist_matrix.addition_bound - slack] cannot beat the best
+      delta so far (O(n) per candidate; the slack covers rounding, and
+      infinite distances disable the skip); the others pay the exact
+      O(n²) insertion total;
+    - a deletion recomputes by Dijkstra only the rows on which the edge
+      is tight ({!Gncg_graph.Dijkstra.tight}) and takes every
+      other row's sum from the phase's distance matrix, summing in
+      source order, so its cost is bit-identical to
+      {!Cost.network_social_cost}.
+    The moves, the network and the cost are exactly those of the
+    unpruned search. *)
 
 val anneal :
   ?seed:int -> ?steps:int -> ?t0:float -> ?cooling:float -> Host.t -> Gncg_graph.Wgraph.t * float

@@ -120,3 +120,5 @@ let eccentricities ?domains g =
 let diameter ?domains g =
   let n = Wgraph.n g in
   if n <= 1 then 0.0 else Gncg_util.Flt.max_array (eccentricities ?domains g)
+
+let tight du dv w = Gncg_util.Flt.approx_eq (du +. w) dv || Gncg_util.Flt.approx_eq (dv +. w) du

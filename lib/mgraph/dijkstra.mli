@@ -67,3 +67,13 @@ val diameter : ?domains:int -> Wgraph.t -> float
 (** Infinite when the graph is disconnected, 0 for n <= 1.  Runs the
     eccentricity sweep of {!eccentricities} (multicore on large graphs)
     instead of n sequential SSSP calls. *)
+
+val tight : float -> float -> float -> bool
+(** [tight du dv w]: given the distances [du], [dv] from one source to
+    the endpoints of an edge of weight [w], may a shortest path from
+    that source cross the edge?  True when [du + w = dv] or
+    [dv + w = du] within [Flt.eps].  The tolerance only
+    over-approximates: rows built by incremental insertions associate
+    their sums differently than Dijkstra would, so a genuinely used edge
+    can be off by ulps.  When it is false, deleting the edge leaves the
+    source's distances unchanged. *)

@@ -38,13 +38,17 @@ let of_matrix m =
   done;
   t
 
-let of_graph g =
-  let n = Wgraph.n g in
-  let t = alloc n in
+let recompute t g =
+  let n = t.n in
+  if Wgraph.n g <> n then invalid_arg "Dist_matrix.recompute: size mismatch";
   let ws = Dijkstra.workspace n in
   for u = 0 to n - 1 do
     Dijkstra.sssp_flat_into ws g u t.d (u * n)
-  done;
+  done
+
+let of_graph g =
+  let t = alloc (Wgraph.n g) in
+  recompute t g;
   t
 
 let size t = t.n
@@ -57,14 +61,14 @@ let distance t u v =
   check t v "distance";
   Float.Array.get t.d ((u * t.n) + v)
 
-let total t =
-  (* Kahan over the whole flat buffer; any infinite entry (disconnected
-     pair) makes the total infinite without reaching the compensation. *)
-  let len = t.n * t.n in
+(* Kahan over [len] entries from [off]; any infinite entry (disconnected
+   pair) makes the sum infinite without reaching the compensation.  The
+   loop is [Flt.sum]'s, term for term. *)
+let sum_slice d off len =
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
-  for i = 0 to len - 1 do
-    let x = Float.Array.unsafe_get t.d i in
+  for i = off to off + len - 1 do
+    let x = Float.Array.unsafe_get d i in
     if x = Float.infinity then any_inf := true
     else begin
       let y = x -. !c in
@@ -74,6 +78,47 @@ let total t =
     end
   done;
   if !any_inf then Float.infinity else !s
+
+let total t = sum_slice t.d 0 (t.n * t.n)
+
+let row_total t u =
+  check t u "row_total";
+  sum_slice t.d (u * t.n) t.n
+
+let addition_bound t u v w =
+  check t u "addition_bound";
+  check t v "addition_bound";
+  (* With a_x = d(v,x) - d(u,x) - w and b_y = d(u,y) - d(v,y) - w, the
+     triangle inequality bounds the gain of routing x -> u -> v -> y by
+     min(a_x, b_y), and it is positive only for x in X = {a > 0} and
+     y in Y = {b > 0}; the route v -> u is the mirror image.  Summing,
+     total - total' <= 2 Σ_{X×Y} min(a_x, b_y)
+                   <= 2 min(|Y| Σ_X a, |X| Σ_Y b).
+     Rows u and v are the only entries read. *)
+  let n = t.n in
+  let ubase = u * n and vbase = v * n in
+  let sum_a = ref 0.0 and sum_b = ref 0.0 in
+  let nx = ref 0 and ny = ref 0 in
+  let any_inf = ref false in
+  for x = 0 to n - 1 do
+    let dux = Float.Array.unsafe_get t.d (ubase + x)
+    and dvx = Float.Array.unsafe_get t.d (vbase + x) in
+    if dux = Float.infinity || dvx = Float.infinity then any_inf := true
+    else begin
+      let a = dvx -. dux -. w and b = dux -. dvx -. w in
+      if a > 0.0 then begin
+        sum_a := !sum_a +. a;
+        incr nx
+      end
+      else if b > 0.0 then begin
+        sum_b := !sum_b +. b;
+        incr ny
+      end
+    end
+  done;
+  if !any_inf then Float.infinity
+  else
+    2.0 *. Float.min (float_of_int !ny *. !sum_a) (float_of_int !nx *. !sum_b)
 
 let copy t =
   let t' = alloc t.n in

@@ -309,13 +309,9 @@ let remove_edge t u v =
     Wgraph.remove_edge t.g u v;
     Metric.Counter.incr c_deletions;
     (* A shortest path from s can use (u,v) only if the edge is tight on
-       s's row: d(s,u) + w = d(s,v) (or symmetrically).  Tightness is
-       tested with the engine tolerance, not exact equality — rows
-       produced by earlier incremental insertions associate their sums
-       differently than Dijkstra would, so a genuinely used edge can be
-       off by ulps.  The tolerance only over-approximates the affected
-       set (extra recomputes), never misses a used edge.  Each affected
-       row is recomputed into the preallocated scratch with the reusable
+       s's row ([Dijkstra.tight], tolerant: it over-approximates the
+       affected set, never misses a used edge).  Each affected row is
+       recomputed into the preallocated scratch with the reusable
        Dijkstra workspace (no fresh heap, no fresh rows) and written back
        only where it differs, so the change report is exact on the
        recomputed set. *)
@@ -324,10 +320,7 @@ let remove_edge t u v =
       let base = s * n in
       let dsu = Float.Array.unsafe_get t.d (base + u)
       and dsv = Float.Array.unsafe_get t.d (base + v) in
-      if
-        Gncg_util.Flt.approx_eq (dsu +. w) dsv
-        || Gncg_util.Flt.approx_eq (dsv +. w) dsu
-      then begin
+      if Dijkstra.tight dsu dsv w then begin
         Dijkstra.sssp_into t.ws t.g s t.scratch;
         let differs = ref false in
         for x = 0 to n - 1 do

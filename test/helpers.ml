@@ -60,3 +60,100 @@ let reference_happy kind host s u =
 
 let reference_unhappy kind host s =
   List.filter (fun u -> not (reference_happy kind host s u)) (List.init (Gncg.Strategy.n s) Fun.id)
+
+(* The unpruned social-optimum local search: the spec the pruned
+   [Social_optimum.greedy_heuristic] is differential-tested against.
+   Every candidate addition pays the O(n²) what-if total and every
+   candidate removal a full [Cost.network_social_cost]; the sequence of
+   graph edits is the library's, so slot order and hence every float
+   agree. *)
+let reference_greedy_heuristic host =
+  let module Wgraph = Gncg_graph.Wgraph in
+  let module Dm = Gncg_graph.Dist_matrix in
+  let n = Gncg.Host.n host in
+  let alpha = Gncg.Host.alpha host in
+  let eps = Gncg_util.Flt.eps in
+  let g =
+    Wgraph.of_edges n (Gncg_graph.Mst.prim_complete n (fun u v -> Gncg.Host.weight host u v))
+  in
+  let best_addition dm current edge_weight_total =
+    let best_delta = ref 0.0 and best = ref None in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        let w = Gncg.Host.weight host u v in
+        if Float.is_finite w && not (Wgraph.has_edge g u v) then begin
+          let c = (alpha *. (edge_weight_total +. w)) +. Dm.total_with_edge_added dm u v w in
+          let delta = c -. current in
+          if delta < !best_delta -. eps then begin
+            best_delta := delta;
+            best := Some (u, v, w)
+          end
+        end
+      done
+    done;
+    !best
+  in
+  let best_removal current =
+    let best_delta = ref 0.0 and best = ref None in
+    List.iter
+      (fun (u, v, w) ->
+        Wgraph.remove_edge g u v;
+        let c = Gncg.Cost.network_social_cost host g in
+        Wgraph.add_edge g u v w;
+        let delta = c -. current in
+        if delta < !best_delta -. eps then begin
+          best_delta := delta;
+          best := Some (u, v)
+        end)
+      (Wgraph.edges g);
+    !best
+  in
+  let dm = ref (Dm.of_graph g) in
+  let weight_total = ref (Wgraph.total_weight g) in
+  let current = ref ((alpha *. !weight_total) +. Dm.total !dm) in
+  let adding = ref true in
+  while !adding do
+    match best_addition !dm !current !weight_total with
+    | Some (u, v, w) ->
+      Wgraph.add_edge g u v w;
+      Dm.add_edge !dm u v w;
+      weight_total := !weight_total +. w;
+      current := (alpha *. !weight_total) +. Dm.total !dm
+    | None -> adding := false
+  done;
+  let improved = ref true in
+  while !improved do
+    improved := false;
+    let dm = Dm.of_graph g in
+    let current = Gncg.Cost.network_social_cost host g in
+    let add = best_addition dm current (Wgraph.total_weight g) in
+    let remove = best_removal current in
+    let delta_of_add =
+      match add with
+      | None -> 0.0
+      | Some (u, v, w) ->
+        (alpha *. (Wgraph.total_weight g +. w)) +. Dm.total_with_edge_added dm u v w -. current
+    in
+    let delta_of_remove =
+      match remove with
+      | None -> 0.0
+      | Some (u, v) ->
+        let w = Option.get (Wgraph.weight g u v) in
+        Wgraph.remove_edge g u v;
+        let c = Gncg.Cost.network_social_cost host g in
+        Wgraph.add_edge g u v w;
+        c -. current
+    in
+    match (add, remove) with
+    | Some (u, v, w), _ when delta_of_add <= delta_of_remove ->
+      Wgraph.add_edge g u v w;
+      improved := true
+    | _, Some (u, v) when delta_of_remove < 0.0 ->
+      Wgraph.remove_edge g u v;
+      improved := true
+    | Some (u, v, w), None ->
+      Wgraph.add_edge g u v w;
+      improved := true
+    | _ -> ()
+  done;
+  (g, Gncg.Cost.network_social_cost host g)

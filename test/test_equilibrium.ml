@@ -246,10 +246,7 @@ let agree_with_reference label host s =
             (fun (g : Eq.grievance) ->
               let current, best = reference_costs kind host s g.Eq.agent in
               check_float (name "current cost") current g.Eq.current_cost;
-              (* The spec's best cost is NaN (inf - inf) for a move that
-                 connects a disconnected agent. *)
-              if not (Float.is_nan best && Float.is_nan g.Eq.best_cost) then
-                check_float (name "best cost") best g.Eq.best_cost)
+              check_float (name "best cost") best g.Eq.best_cost)
             grievances)
         [ Exec.Seq; Exec.Par { domains = Some 3 } ];
       if expected = [] then stable + 1 else stable)
@@ -399,6 +396,45 @@ let test_spec_near_tie () =
   let s = Strategy.of_lists 3 [ (1, [ 0 ]); (2, [ 0 ]) ] in
   Alcotest.(check int) "stable within the tolerance" 2 (agree_with_reference "near tie" host s)
 
+(* 1-inf hosts where only agent 1 buys 1-2, so agent 0 is cut off and
+   every agent's distance cost is infinite.  A disconnected agent whose
+   best move connects it must get the finite cost after that move, in
+   the spec and in the scans alike (not inf - inf), and the grievances,
+   all of infinite improvement, keep agent order.  Expected costs at
+   alpha = 1: agent 0 buys 0-1 and pays 1 + (1 + 2); agent 1 buys 1-0 and
+   pays 2 + (1 + 1); agent 2, where 2-0 is allowed, buys it and pays
+   1 + (1 + 1). *)
+let test_spec_disconnected_one_inf () =
+  let s = Strategy.of_lists 3 [ (1, [ 2 ]) ] in
+  List.iter
+    (fun (label, allowed, expected) ->
+      let host = Host.make ~alpha:1.0 (Gncg_metric.One_inf.of_allowed_edges 3 allowed) in
+      ignore (agree_with_reference label host s);
+      List.iter
+        (fun kind ->
+          let label = label ^ " " ^ kind_name kind in
+          (match Eq.certify kind host s with
+          | Ok () -> Alcotest.failf "%s: the profile is not stable" label
+          | Error gs ->
+            Alcotest.(check (list (pair int (float 1e-9))))
+              (label ^ ": agents and best costs") expected
+              (List.map (fun (g : Eq.grievance) -> (g.Eq.agent, g.Eq.best_cost)) gs);
+            List.iter
+              (fun (g : Eq.grievance) ->
+                check_false (label ^ ": no NaN in the report")
+                  (contains (Format.asprintf "%a" Eq.pp_grievance g) "nan"))
+              gs);
+          List.iter
+            (fun (u, cost) ->
+              check_float (Printf.sprintf "%s: spec best cost of %d" label u) cost
+                (snd (reference_costs kind host s u)))
+            expected)
+        [ Eq.AE; Eq.GE ])
+    [
+      ("path 0-1-2", [ (0, 1); (1, 2) ], [ (0, 4.0); (1, 4.0) ]);
+      ("triangle", [ (0, 1); (1, 2); (0, 2) ], [ (0, 4.0); (1, 4.0); (2, 3.0) ]);
+    ]
+
 (* The scans build their state with the Auto backend, so a process-wide
    tree/rd default (the CLI's --dist-backend) neither raises on a
    non-tree, non-complete network nor changes a verdict. *)
@@ -445,6 +481,7 @@ let suites =
         case "tree/rd oracle states = Reference" test_spec_oracle_backends;
         case "n = 0, 1, 2 = Reference" test_spec_tiny;
         case "near ties = Reference" test_spec_near_tie;
+        case "disconnected 1-inf = Reference, finite" test_spec_disconnected_one_inf;
         case "default tree/rd spec ignored" test_scan_ignores_default_backend;
       ] );
   ]

@@ -164,6 +164,90 @@ let test_opt_spanner_lemma2 () =
     check_true "OPT is (a/2+1)-spanner" (stretch <= Gncg.Quality.opt_spanner_stretch alpha +. 1e-6)
   done
 
+(* --- the pruned local search against the unpruned spec --- *)
+
+module Instances = Gncg_workload.Instances
+
+let sorted_edges g = List.sort compare (Gncg_graph.Wgraph.edges g)
+
+let same_as_reference label host =
+  let g, cost = Opt.greedy_heuristic host in
+  let g', cost' = reference_greedy_heuristic host in
+  if sorted_edges g <> sorted_edges g' then Alcotest.failf "%s: edge sets differ" label;
+  if Int64.bits_of_float cost <> Int64.bits_of_float cost' then
+    Alcotest.failf "%s: cost %h, spec %h" label cost cost'
+
+let test_heuristic_matches_reference () =
+  let r = rng 1801 in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun alpha ->
+          List.iter
+            (fun n ->
+              let host = Instances.random_host r model ~n ~alpha in
+              same_as_reference
+                (Printf.sprintf "%s n=%d alpha=%g" (Instances.model_name model) n alpha)
+                host)
+            [ 5 + Prng.int r 8; 13 + Prng.int r 12 ])
+        [ 0.5; 1.0; 4.0 ])
+    Instances.default_models;
+  (* Two allowed components: every network is disconnected, the cost is
+     infinite and nothing may be pruned. *)
+  let split =
+    Gncg_metric.One_inf.of_allowed_edges 8
+      [ (0, 1); (1, 2); (2, 3); (0, 2); (4, 5); (5, 6); (6, 7); (4, 7) ]
+  in
+  List.iter
+    (fun alpha -> same_as_reference "disconnected 1-inf" (Host.make ~alpha split))
+    [ 0.5; 4.0 ];
+  List.iter
+    (fun n ->
+      same_as_reference (Printf.sprintf "n=%d" n)
+        (Host.make ~alpha:1.0 (Metric.make n (fun _ _ -> 1.0))))
+    [ 0; 1; 2 ]
+
+(* The O(n) addition bound never undercuts the exact gain of the
+   insertion, over every finite pair; a pair the new edge connects for
+   the first time has unbounded gain and needs an infinite bound. *)
+let prop_addition_bound =
+  let module Dm = Gncg_graph.Dist_matrix in
+  QCheck.Test.make ~count:300 ~name:"addition bound >= total - total with edge added"
+    QCheck.(pair small_nat (int_range 2 14))
+    (fun (seed, n) ->
+      let r = rng seed in
+      let g = Gncg_graph.Wgraph.create n in
+      (* Sparse and often disconnected. *)
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Prng.float r 1.0 < 0.25 then
+            Gncg_graph.Wgraph.add_edge g u v (Prng.float_in r 0.5 10.0)
+        done
+      done;
+      let dm = Dm.of_graph g in
+      let u = Prng.int r n in
+      let v = (u + 1 + Prng.int r (n - 1)) mod n in
+      let w = Prng.float_in r 0.0 12.0 in
+      let dm' = Dm.with_edge_added dm u v w in
+      let gain = ref 0.0 and scale = ref 1.0 and joined = ref false in
+      for x = 0 to n - 1 do
+        for y = 0 to n - 1 do
+          let d = Dm.distance dm x y and d' = Dm.distance dm' x y in
+          if Float.is_finite d then begin
+            gain := !gain +. (d -. d');
+            scale := !scale +. d
+          end
+          else if Float.is_finite d' then joined := true
+        done
+      done;
+      let bound = Dm.addition_bound dm u v w in
+      let total = Dm.total dm in
+      if !joined then bound = Float.infinity
+      else
+        bound >= !gain -. (1e-9 *. !scale)
+        && ((not (Float.is_finite total))
+           || bound >= total -. Dm.total_with_edge_added dm u v w -. (1e-9 *. !scale)))
+
 let suites =
   [
     ( "social-optimum",
@@ -183,5 +267,7 @@ let suites =
         case "best_known dispatch" test_best_known_dispatch;
         case "complete host cost" test_complete_host_cost;
         case "Lemma 2: OPT spanner" test_opt_spanner_lemma2;
+        case "pruned heuristic = unpruned spec" test_heuristic_matches_reference;
+        QCheck_alcotest.to_alcotest prop_addition_bound;
       ] );
   ]
