@@ -5,8 +5,6 @@ module Wgraph = Gncg_graph.Wgraph
    [u], in increasing order. *)
 let vertex_of_index u k = if k < u then k else k + 1
 
-let index_of_vertex u v = if v < u then v else v - 1
-
 let umfl_instance host s u =
   let n = Strategy.n s in
   let alpha = Host.alpha host in
@@ -17,6 +15,9 @@ let umfl_instance host s u =
   let open_cost = Array.make nf Float.infinity in
   let forced = Array.make nf false in
   let service = Array.make_matrix nf nf Float.infinity in
+  (* One Dijkstra workspace and row for every facility's SSSP. *)
+  let ws = Gncg_graph.Dijkstra.workspace n in
+  let d = Array.make n Float.infinity in
   for k = 0 to nf - 1 do
     let f = vertex_of_index u k in
     let w_uf = Host.weight host u f in
@@ -26,7 +27,7 @@ let umfl_instance host s u =
     end
     else open_cost.(k) <- alpha *. w_uf;
     if Float.is_finite w_uf then begin
-      let d = Gncg_graph.Dijkstra.sssp g' f in
+      Gncg_graph.Dijkstra.sssp_into ws g' f d;
       for c = 0 to nf - 1 do
         service.(k).(c) <- w_uf +. d.(vertex_of_index u c)
       done
@@ -81,5 +82,3 @@ let exact_enum host s u =
   (!best_set, !best_cost)
 
 let best_cost host s u = snd (exact host s u)
-
-let _ = index_of_vertex

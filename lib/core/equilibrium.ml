@@ -98,7 +98,8 @@ type grievance = {
 }
 
 let ne_grievance host s u =
-  let current = Cost.agent_cost host s u in
+  let graph = Network.graph host s in
+  let current = Cost.agent_cost ~graph host s u in
   let set, best = Best_response.exact host s u in
   if Flt.lt best current then
     Some { agent = u; current_cost = current; best_cost = best; deviation = Some set }

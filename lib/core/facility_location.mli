@@ -45,7 +45,29 @@ val solve_exact : instance -> bool array * float
 val local_search : instance -> bool array * float
 (** Arya et al. add/drop/swap local search from the all-open solution; the
     result cannot be improved by opening, closing or swapping a single
-    facility (a 3-approximation on metric instances). *)
+    facility (a 3-approximation on metric instances).
+
+    A step costs O(facilities·clients): the assignment of the new set, the
+    open gains, one pass over the clients for all close gains and one per
+    closed facility for the swap bounds of every (open, closed) pair; then
+    O(1) per pair, and O(clients) only for a swap the bound cannot rule
+    out — on converged instances almost none (see {!swap_check}).  The
+    pruning is exact: the open set, the cost and the sequence of moves are
+    those of pricing every swap. *)
 
 val improve_step : instance -> bool array -> (bool array * float) option
-(** One improving open/close/swap step if any exists (tolerance-guarded). *)
+(** One improving open/close/swap step if any exists (tolerance-guarded).
+    One scan picks it — opens and closes in facility order, then swaps
+    ordered by the facility closed, then the one opened — and keeps a
+    candidate only when it beats the best so far by more than the
+    tolerance.  The choice is that of pricing every swap: the swap bound
+    skips only pairs the scan would not keep. *)
+
+val swap_check : instance -> bool array -> f_out:int -> f_in:int -> float * (float * float) option
+(** [swap_check inst set ~f_out ~f_in] is the exact cost change of closing
+    the open [f_out] and opening the closed [f_in], and, when the open and
+    close gains, the overlap term and both opening costs are finite, the
+    bound [open_gain f_in + close_gain f_out - extra] the local search
+    prunes with and the slack it allows for rounding: [|exact - bound| <=
+    slack].  [improve_step] prices a swap only when [bound - slack] could
+    still beat the best move found so far. *)

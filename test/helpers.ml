@@ -157,3 +157,184 @@ let reference_greedy_heuristic host =
     | _ -> ()
   done;
   (g, Gncg.Cost.network_social_cost host g)
+
+(* The unpruned facility-location local search and branch-and-bound: the
+   spec the swap-bound-pruned [Facility_location.improve_step],
+   [local_search] and [solve_exact] are differential-tested against.
+   Every open/closed pair's swap is priced at O(clients), every step
+   recomputes the current cost, and every DFS node copies its row. *)
+module Reference_fl = struct
+  module Flt = Gncg_util.Flt
+  open Gncg.Facility_location
+
+  (* Per-client (best, second-best) open service costs: lets every single
+     open/close/swap move be evaluated in O(clients). *)
+  type assignment = { best : float array; best_f : int array; second : float array }
+
+  let compute_assignment inst open_set =
+    let nf = num_facilities inst and nc = num_clients inst in
+    let best = Array.make nc Float.infinity in
+    let best_f = Array.make nc (-1) in
+    let second = Array.make nc Float.infinity in
+    for f = 0 to nf - 1 do
+      if open_set.(f) then
+        for c = 0 to nc - 1 do
+          let d = inst.service.(f).(c) in
+          if d < best.(c) then begin
+            second.(c) <- best.(c);
+            best.(c) <- d;
+            best_f.(c) <- f
+          end
+          else if d < second.(c) then second.(c) <- d
+        done
+    done;
+    { best; best_f; second }
+
+  (* [a -. b] that treats two infinities of the same sign as equal: service
+     costs may be infinite and inf -. inf would poison deltas with NaN. *)
+  let diff a b = if a = b then 0.0 else a -. b
+
+  let open_gain inst asg f =
+    (* Cost delta of opening facility [f] (assumed closed): opening cost
+       minus the per-client improvements. *)
+    if not (Float.is_finite inst.open_cost.(f)) then Float.infinity
+    else begin
+      let nc = num_clients inst in
+      let delta = ref inst.open_cost.(f) in
+      for c = 0 to nc - 1 do
+        let d = inst.service.(f).(c) in
+        if d < asg.best.(c) then delta := !delta +. diff d asg.best.(c)
+      done;
+      !delta
+    end
+
+  let close_gain inst asg f =
+    (* Cost delta of closing facility [f] (assumed open): clients served by
+       [f] fall back to their second-best facility. *)
+    let nc = num_clients inst in
+    let delta = ref (-.inst.open_cost.(f)) in
+    for c = 0 to nc - 1 do
+      if asg.best_f.(c) = f then delta := !delta +. diff asg.second.(c) asg.best.(c)
+    done;
+    !delta
+
+  let swap_gain inst asg f_out f_in =
+    (* Close [f_out], open [f_in]: each client picks the best among
+       (new facility, previous best if not f_out, previous second). *)
+    if not (Float.is_finite inst.open_cost.(f_in)) then Float.infinity
+    else begin
+      let nc = num_clients inst in
+      let delta = ref (inst.open_cost.(f_in) -. inst.open_cost.(f_out)) in
+      for c = 0 to nc - 1 do
+        let d_new = inst.service.(f_in).(c) in
+        let d_before = asg.best.(c) in
+        let d_after =
+          if asg.best_f.(c) = f_out then Float.min d_new asg.second.(c)
+          else Float.min d_new d_before
+        in
+        delta := !delta +. diff d_after d_before
+      done;
+      !delta
+    end
+
+  let improve_step inst open_set =
+    let nf = num_facilities inst in
+    let asg = compute_assignment inst open_set in
+    let current = cost inst open_set in
+    let tol = Flt.eps *. Float.max 1.0 (Float.abs (if Float.is_finite current then current else 1.0)) in
+    let best_delta = ref 0.0 in
+    let best_move = ref None in
+    let consider delta mv = if delta < !best_delta -. tol then begin best_delta := delta; best_move := Some mv end in
+    for f = 0 to nf - 1 do
+      if not open_set.(f) then consider (open_gain inst asg f) (`Open f)
+      else if not inst.forced_open.(f) then consider (close_gain inst asg f) (`Close f)
+    done;
+    for f_out = 0 to nf - 1 do
+      if open_set.(f_out) && not inst.forced_open.(f_out) then
+        for f_in = 0 to nf - 1 do
+          if not open_set.(f_in) then consider (swap_gain inst asg f_out f_in) (`Swap (f_out, f_in))
+        done
+    done;
+    match !best_move with
+    | None -> None
+    | Some mv ->
+      let next = Array.copy open_set in
+      (match mv with
+      | `Open f -> next.(f) <- true
+      | `Close f -> next.(f) <- false
+      | `Swap (f_out, f_in) ->
+        next.(f_out) <- false;
+        next.(f_in) <- true);
+      Some (next, cost inst next)
+
+  let local_search inst =
+    let nf = num_facilities inst in
+    (* Start from everything affordable open (forced facilities included even
+       when unaffordable, so infeasibility surfaces as an infinite cost). *)
+    let open_set =
+      Array.init nf (fun f -> Float.is_finite inst.open_cost.(f) || inst.forced_open.(f))
+    in
+    let rec loop open_set c =
+      match improve_step inst open_set with
+      | Some (next, c') when c' < c -. Flt.eps -> loop next c'
+      | _ -> (open_set, c)
+    in
+    loop open_set (cost inst open_set)
+
+  let solve_exact inst =
+    let nf = num_facilities inst and nc = num_clients inst in
+    if nf = 0 then ([||], if nc = 0 then 0.0 else Float.infinity)
+    else begin
+      (* Suffix minima of service cost per client over facilities >= i:
+         the admissible-heuristic part of the branch-and-bound lower bound. *)
+      let suffix = Array.make_matrix (nf + 1) nc Float.infinity in
+      for f = nf - 1 downto 0 do
+        for c = 0 to nc - 1 do
+          suffix.(f).(c) <- Float.min inst.service.(f).(c) suffix.(f + 1).(c)
+        done
+      done;
+      let incumbent_set, incumbent_cost = local_search inst in
+      let best_set = ref (Array.copy incumbent_set) in
+      let best_cost = ref incumbent_cost in
+      let open_set = Array.make nf false in
+      let best_served = Array.make nc Float.infinity in
+      (* DFS over facility indices; [opened] is the running opening cost and
+         [best_served] the per-client best over currently-opened ones. *)
+      let rec dfs f opened =
+        if f = nf then begin
+          let total = ref opened in
+          for c = 0 to nc - 1 do
+            total := !total +. best_served.(c)
+          done;
+          if !total < !best_cost -. Flt.eps then begin
+            best_cost := !total;
+            best_set := Array.copy open_set
+          end
+        end
+        else begin
+          let bound = ref opened in
+          for c = 0 to nc - 1 do
+            bound := !bound +. Float.min best_served.(c) suffix.(f).(c)
+          done;
+          if !bound < !best_cost -. Flt.eps then begin
+            (* Branch 1: open facility f (unless its cost already dooms us). *)
+            if inst.open_cost.(f) < Float.infinity then begin
+              let saved = Array.copy best_served in
+              open_set.(f) <- true;
+              for c = 0 to nc - 1 do
+                if inst.service.(f).(c) < best_served.(c) then
+                  best_served.(c) <- inst.service.(f).(c)
+              done;
+              dfs (f + 1) (opened +. inst.open_cost.(f));
+              open_set.(f) <- false;
+              Array.blit saved 0 best_served 0 nc
+            end;
+            (* Branch 2: keep f closed (forbidden for forced facilities). *)
+            if not inst.forced_open.(f) then dfs (f + 1) opened
+          end
+        end
+      in
+      dfs 0 0.0;
+      (!best_set, !best_cost)
+    end
+end
